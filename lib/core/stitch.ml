@@ -65,19 +65,20 @@ let expect_buf s n =
    chunks) and decode outcomes depend only on the bytes.  Raises
    {!Fallback} if an instruction would cross the chunk's upper cut. *)
 let local_linear ?scratch binary ~text_end (c : Chunker.chunk) =
-  let fetch a = Zelf.Binary.read8 binary a in
+  let text = Zelf.Binary.text binary in
+  let data = text.Zelf.Section.data and base = text.Zelf.Section.vaddr in
   let cl =
     match scratch with Some s -> s.claims | None -> { items = [||]; n = 0 }
   in
   let pos = ref c.Chunker.lo in
   (try
      while !pos < c.Chunker.hi do
-       match Zvm.Decode.decode ~fetch !pos with
-       | Ok (insn, ilen) when !pos + ilen <= text_end ->
+       match Zvm.Decode.decode_sub data ~pos:(!pos - base) ~limit:(text_end - base) with
+       | Ok (insn, ilen) ->
            if !pos + ilen > c.Chunker.hi then raise Fallback;
            push cl (!pos - c.Chunker.lo, insn, ilen);
            pos := !pos + ilen
-       | Ok _ | Error _ -> incr pos
+       | Error _ -> incr pos
      done
    with Fallback ->
      cl.n <- 0;
@@ -124,13 +125,14 @@ let validate_chunk ?scratch (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) f =
    traversal, so the merge materializes from the traversal directly).
    Raises {!Fallback} on any disagreement. *)
 let validate_span binary ~text_end (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) =
-  let fetch a = Zelf.Binary.read8 binary a in
+  let text = Zelf.Binary.text binary in
+  let data = text.Zelf.Section.data and text_base = text.Zelf.Section.vaddr in
   let base = rec_.Disasm.Recursive.base in
   let cover = rec_.Disasm.Recursive.cover in
   let pos = ref c.Chunker.lo in
   while !pos < c.Chunker.hi do
-    match Zvm.Decode.decode ~fetch !pos with
-    | Ok (insn, ilen) when !pos + ilen <= text_end ->
+    match Zvm.Decode.decode_sub data ~pos:(!pos - text_base) ~limit:(text_end - text_base) with
+    | Ok (insn, ilen) ->
         if !pos + ilen > c.Chunker.hi then raise Fallback;
         (match Hashtbl.find_opt rec_.Disasm.Recursive.insns !pos with
         | Some (insn', ilen') when ilen' = ilen && insn' = insn -> ()
@@ -139,7 +141,7 @@ let validate_span binary ~text_end (rec_ : Disasm.Recursive.t) (c : Chunker.chun
           if cover.(i - base) <> !pos then raise Fallback
         done;
         pos := !pos + ilen
-    | Ok _ | Error _ ->
+    | Error _ ->
         if cover.(!pos - base) <> -1 then raise Fallback;
         incr pos
   done

@@ -84,38 +84,91 @@ let pp_verdict ppf = function
   | Data -> Format.pp_print_string ppf "data"
   | Ambiguous -> Format.pp_print_string ppf "ambiguous"
 
+(* Per primary source, the length of the instruction it claims to start
+   at each text offset, or 0.  The primaries ([Source.of_linear],
+   [Source.of_recursive], [Superset.run]) only record decodes of text
+   bytes, each address once; anything else is rejected. *)
+let boundary_lengths ~base ~len (s : Source.t) =
+  let lens = Array.make len 0 in
+  Hashtbl.iter
+    (fun addr (_, ilen) ->
+      let off = addr - base in
+      if off < 0 || off >= len || ilen < 1 || lens.(off) <> 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Aggregate.combine_sources: %s boundary 0x%x+%d is outside the text, empty or bound twice"
+             s.Source.name addr ilen);
+      lens.(off) <- ilen)
+    s.Source.insns;
+  lens
+
 (* Satellite accounting: ranges where sources claim overlapping
    instructions of {e different lengths}.  The per-byte loop below folds
    these into cases 2/4 (correct but silent); here each overlapping
    boundary pair with mismatched lengths is reported and counted, without
-   changing any verdict.  O(n log n) sweep; overlaps are at most one
-   instruction long, so the active set stays tiny. *)
-let overlap_mismatches (primaries : Source.t list) =
-  let boundaries =
-    List.concat_map
-      (fun (s : Source.t) ->
-        Hashtbl.fold (fun addr (_, ilen) acc -> (addr, ilen, s.Source.name) :: acc) s.Source.insns [])
-      primaries
-    |> List.sort compare
-  in
+   changing any verdict.
+
+   Boundaries are visited in (address, length, name) order — text offsets
+   upward, and at one offset by length, then name — and each is paired
+   with every earlier boundary still covering its address, latest first.
+   No boundary is longer than [max_len], so the look-back spans at most
+   [max_len - 1] offsets.  [names] are in sorted order and [lens.(i)] is
+   the {!boundary_lengths} of source [names.(i)], so sorting the
+   boundaries at one offset by length alone (stably) is enough. *)
+let overlap_mismatches ~base ~len (names : string array) (lens : int array array) =
+  let k = Array.length lens in
+  let max_len = ref 0 in
+  Array.iter (Array.iter (fun l -> if l > !max_len then max_len := l)) lens;
   let count = ref 0 and warnings = ref [] in
-  let active = ref [] in
-  List.iter
-    (fun (addr, ilen, name) ->
-      active := List.filter (fun (a, l, _) -> a + l > addr) !active;
-      List.iter
-        (fun (a, l, n) ->
-          if l <> ilen && not (a = addr && n = name) then begin
-            incr count;
-            warnings :=
-              Printf.sprintf
-                "overlapping instruction claims of different lengths: %s@0x%x+%d vs %s@0x%x+%d"
-                n a l name addr ilen
-              :: !warnings
-          end)
-        !active;
-      active := (addr, ilen, name) :: !active)
-    boundaries;
+  (* Fill [order] with the sources starting a boundary at [off], in
+     (length, name) order; return how many. *)
+  let at off order =
+    let m = ref 0 in
+    for i = 0 to k - 1 do
+      let l = lens.(i).(off) in
+      if l > 0 then begin
+        let j = ref !m in
+        while !j > 0 && lens.(order.(!j - 1)).(off) > l do
+          order.(!j) <- order.(!j - 1);
+          decr j
+        done;
+        order.(!j) <- i;
+        incr m
+      end
+    done;
+    !m
+  in
+  let check ei ea el bi boff bl =
+    if el <> bl && not (ea = boff && String.equal names.(ei) names.(bi)) then begin
+      incr count;
+      warnings :=
+        Printf.sprintf
+          "overlapping instruction claims of different lengths: %s@0x%x+%d vs %s@0x%x+%d"
+          names.(ei) (base + ea) el names.(bi) (base + boff) bl
+        :: !warnings
+    end
+  in
+  (* [reach.(a)]: the longest boundary starting at offset [a], or 0. *)
+  let reach = Array.make len 0 in
+  let here = Array.make k 0 and back = Array.make k 0 in
+  for off = 0 to len - 1 do
+    let m = at off here in
+    if m > 0 then reach.(off) <- lens.(here.(m - 1)).(off);
+    for x = 0 to m - 1 do
+      let bi = here.(x) in
+      let bl = lens.(bi).(off) in
+      for y = x - 1 downto 0 do
+        check here.(y) off lens.(here.(y)).(off) bi off bl
+      done;
+      for a = off - 1 downto max 0 (off - !max_len + 1) do
+        if reach.(a) > off - a then
+          for y = at a back - 1 downto 0 do
+            let el = lens.(back.(y)).(a) in
+            if a + el > off then check back.(y) a el bi off bl
+          done
+      done
+    done
+  done;
   (!count, List.rev !warnings)
 
 (* N-way aggregation rule (generalizing the paper's case analysis to any
@@ -150,6 +203,11 @@ let combine_sources binary (sources : Source.t list) =
   (match primaries with
   | [] -> invalid_arg "Aggregate.combine_sources: no primary source"
   | _ -> ());
+  let by_name =
+    List.stable_sort (fun (a : Source.t) b -> String.compare a.Source.name b.Source.name) primaries
+    |> Array.of_list
+  in
+  let boundary_lens = Array.map (boundary_lengths ~base ~len) by_name in
   (* Preextract the per-source claim arrays and confidences once, then
      judge every byte in a single allocation-free inner loop: the verdict
      needs only the first claimed start, start agreement, whether any
@@ -199,7 +257,9 @@ let combine_sources binary (sources : Source.t list) =
        else if !high_claim then begin incr c1_code; Code end
        else begin (* only low-confidence tools call it code: case 4 *) incr c4; Ambiguous end)
   done;
-  let overlap_count, overlap_warnings = overlap_mismatches primaries in
+  let overlap_count, overlap_warnings =
+    overlap_mismatches ~base ~len (Array.map (fun (s : Source.t) -> s.Source.name) by_name) boundary_lens
+  in
   List.iter (fun w -> warnings := w :: !warnings) overlap_warnings;
   (* Refinement pass: each refiner may flip ambiguous bytes only.  A flip
      to [Code start] requires every primary code claim on the byte to
@@ -316,10 +376,10 @@ let run ?(infer = false) binary =
   let sources = [ Source.of_linear lin; spec; Source.of_recursive rec_ ] in
   if infer then begin
     let inf = Obs.span "infer" (fun () -> Infer.run binary ~avoid:rec_) in
-    let agg = combine_sources binary (sources @ [ inf.Infer.source ]) in
+    let agg = Obs.span "combine" (fun () -> combine_sources binary (sources @ [ inf.Infer.source ])) in
     { agg with pin_hints = inf.Infer.pin_hints }
   end
-  else combine_sources binary sources
+  else Obs.span "combine" (fun () -> combine_sources binary sources)
 
 let verdict_at t addr =
   if addr < t.base || addr >= t.base + t.len then None else Some t.verdicts.(addr - t.base)

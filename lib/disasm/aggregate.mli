@@ -87,8 +87,10 @@ val combine_sources : Zelf.Binary.t -> Source.t list -> t
     high-confidence primary claims it and every claiming primary agrees on
     the instruction start; [Data] iff no primary claims code; [Ambiguous]
     otherwise — then refiner sources may flip ambiguous bytes only.
-    Raises [Invalid_argument] on an empty or mismatched source list, or
-    when no primary source is present. *)
+    Raises [Invalid_argument] on an empty or mismatched source list, when
+    no primary source is present, or when a primary source's boundary
+    table has an entry that does not start inside the text, is empty, or
+    binds an address twice. *)
 
 val verdict_at : t -> int -> verdict option
 

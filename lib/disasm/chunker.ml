@@ -80,7 +80,7 @@ let scan binary =
   let base = text.Zelf.Section.vaddr in
   let len = text.Zelf.Section.size in
   let lo = base and hi = base + len in
-  let fetch a = Zelf.Binary.read8 binary a in
+  let data = text.Zelf.Section.data in
   (* One linear-framing pass: collect sync points (offsets directly after
      a no-fallthrough instruction) and outbound references. *)
   let refs = ref [] in
@@ -100,8 +100,8 @@ let scan binary =
   let pos = ref base in
   while !pos < hi do
     boundary.(!pos - base) <- true;
-    match Zvm.Decode.decode ~fetch !pos with
-    | Ok (insn, ilen) when !pos + ilen <= hi ->
+    match Zvm.Decode.decode_sub data ~pos:(!pos - base) ~limit:len with
+    | Ok (insn, ilen) ->
         (match Zvm.Insn.static_target ~at:!pos insn with
         | Some t when t >= lo && t < hi -> add_ref Branch t
         | _ -> ());
@@ -112,7 +112,7 @@ let scan binary =
         | _ -> ());
         if not (Zvm.Insn.has_fallthrough insn) then sync.(!pos + ilen - base) <- true;
         pos := !pos + ilen
-    | Ok _ | Error _ -> incr pos
+    | Error _ -> incr pos
   done;
   List.iter (fun a -> add_ref Data_word a) (Recursive.scan_for_text_addresses binary);
   if binary.Zelf.Binary.entry >= lo && binary.Zelf.Binary.entry < hi then
@@ -126,7 +126,7 @@ let scan binary =
   let roll = ref 0 in
   let off = ref 0 in
   while !off < len do
-    let b = match fetch (base + !off) with Some v -> v | None -> 0 in
+    let b = Char.code (Bytes.get data !off) in
     roll := ((!roll * 33) + b) land 0xffffff;
     incr off;
     let size = !off - !start in

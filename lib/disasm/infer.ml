@@ -333,7 +333,7 @@ let run binary ~(avoid : Recursive.t) =
   let len = text.Zelf.Section.size in
   let lo = base and hi = base + len in
   let candidates = Superset.decode_all binary in
-  let alive = Superset.prune_fixpoint binary in
+  let alive = Superset.prune binary candidates in
   let claims = Array.make len Source.Unknown in
   let tags = Array.make len "" in
   let insns : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.create 64 in

@@ -9,22 +9,19 @@ let sweep binary =
   let text = Zelf.Binary.text binary in
   let base = text.Zelf.Section.vaddr in
   let len = text.Zelf.Section.size in
+  let data = text.Zelf.Section.data in
   let cover = Array.make len (-1) in
   let insns = Hashtbl.create 256 in
-  let fetch a = Zelf.Binary.read8 binary a in
-  let pos = ref base in
-  let limit = base + len in
-  while !pos < limit do
-    match Zvm.Decode.decode ~fetch !pos with
-    | Ok (insn, ilen) when !pos + ilen <= limit ->
-        Hashtbl.replace insns !pos (insn, ilen);
-        for i = !pos to !pos + ilen - 1 do
-          cover.(i - base) <- !pos
-        done;
-        pos := !pos + ilen
-    | Ok _ | Error _ ->
+  let off = ref 0 in
+  while !off < len do
+    match Zvm.Decode.decode_sub data ~pos:!off ~limit:len with
+    | Ok ((_, ilen) as decoded) ->
+        Hashtbl.replace insns (base + !off) decoded;
+        Array.fill cover !off ilen (base + !off);
+        off := !off + ilen
+    | Error _ ->
         (* Data byte (or an instruction spilling off the section). *)
-        pos := !pos + 1
+        incr off
   done;
   { base; len; cover; insns }
 

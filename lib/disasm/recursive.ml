@@ -57,9 +57,9 @@ let traverse binary =
   let base = text.Zelf.Section.vaddr in
   let len = text.Zelf.Section.size in
   let lo = base and hi = base + len in
+  let data = text.Zelf.Section.data in
   let cover = Array.make len (-1) in
   let insns = Hashtbl.create 256 in
-  let fetch a = Zelf.Binary.read8 binary a in
   let initial_seeds =
     binary.Zelf.Binary.entry :: scan_for_text_addresses binary |> List.sort_uniq compare
   in
@@ -69,10 +69,9 @@ let traverse binary =
   while not (Queue.is_empty work) do
     let addr = Queue.pop work in
     if addr >= lo && addr < hi && cover.(addr - base) = -1 then
-      match Zvm.Decode.decode ~fetch addr with
+      match Zvm.Decode.decode_sub data ~pos:(addr - base) ~limit:len with
       | Error _ -> ()
-      | Ok (_, ilen) when addr + ilen > hi -> ()
-      | Ok (insn, ilen) ->
+      | Ok ((insn, ilen) as decoded) ->
           (* Claim only if the bytes are not already claimed with a
              different boundary; overlapping claims stay unresolved and
              fall to the aggregation's conservative case. *)
@@ -81,10 +80,8 @@ let traverse binary =
             if cover.(i - base) <> -1 then clash := true
           done;
           if not !clash then begin
-            Hashtbl.replace insns addr (insn, ilen);
-            for i = addr to addr + ilen - 1 do
-              cover.(i - base) <- addr
-            done;
+            Hashtbl.replace insns addr decoded;
+            Array.fill cover (addr - base) ilen addr;
             (match Zvm.Insn.static_target ~at:addr insn with
             | Some tgt -> enqueue tgt
             | None -> ());

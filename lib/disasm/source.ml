@@ -18,12 +18,25 @@ type t = {
 let tag_at t off =
   if Array.length t.tags = 0 || off < 0 || off >= t.len then "" else t.tags.(off)
 
+(* Claims from a cover array, one [Code] block per instruction. *)
+let claims_of_cover ~gap cover =
+  let claims = Array.make (Array.length cover) gap in
+  let last = ref gap in
+  Array.iteri
+    (fun i c ->
+      if c >= 0 then begin
+        (match !last with Code s when s = c -> () | _ -> last := Code c);
+        claims.(i) <- !last
+      end)
+    cover;
+  claims
+
 let of_linear (lin : Linear.t) =
   {
     name = "linear-sweep";
     base = lin.Linear.base;
     len = lin.Linear.len;
-    claims = Array.map (fun c -> if c < 0 then Data else Code c) lin.Linear.cover;
+    claims = claims_of_cover ~gap:Data lin.Linear.cover;
     insns = lin.Linear.insns;
     confidence = Low;
     kind = Primary;
@@ -35,7 +48,7 @@ let of_recursive (r : Recursive.t) =
     name = "recursive-traversal";
     base = r.Recursive.base;
     len = r.Recursive.len;
-    claims = Array.map (fun c -> if c < 0 then Unknown else Code c) r.Recursive.cover;
+    claims = claims_of_cover ~gap:Unknown r.Recursive.cover;
     insns = r.Recursive.insns;
     confidence = High;
     kind = Primary;

@@ -20,11 +20,22 @@ val run : Zelf.Binary.t -> avoid:Recursive.t -> Source.t
 (** Speculative source for the binary's text section, abstaining on bytes
     [avoid] covers. *)
 
-val prune_fixpoint : Zelf.Binary.t -> bool array
-(** Exposed for tests: per text byte, is there a {e surviving} candidate
-    instruction starting at that offset after invalid-flow pruning? *)
-
 val decode_all : Zelf.Binary.t -> (Zvm.Insn.t * int) option array
 (** The raw candidate decode at every text offset ([None] where the bytes
-    do not decode or the instruction would spill off the section); the
-    input to the prune fixpoint and to {!Infer}'s fact propagation. *)
+    do not decode or the instruction would spill off the section), read
+    straight from the text section's bytes; the input to the prune
+    fixpoint and to {!Infer}'s fact propagation. *)
+
+val prune : Zelf.Binary.t -> (Zvm.Insn.t * int) option array -> bool array
+(** [prune binary candidates] is the invalid-flow prune fixpoint over the
+    [candidates] that {!decode_all} returned for [binary]: per text byte,
+    is there a {e surviving} candidate starting at that offset?  Callers
+    that already hold the decode prune it instead of decoding again. *)
+
+val prune_fixpoint : Zelf.Binary.t -> bool array
+(** [prune binary (decode_all binary)]. *)
+
+val seed_order : alive:bool array -> score:int array -> int array
+(** Exposed for tests: the tiling's seed order — the [alive] offsets by
+    descending [score], ties by ascending offset.  Scores must be
+    non-negative. *)

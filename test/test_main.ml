@@ -34,4 +34,5 @@ let () =
       ("placement-search", Test_placement_search.suite);
       ("irpar", Test_irpar.suite);
       ("infer", Test_infer.suite);
+      ("golden", Test_golden.suite);
     ]

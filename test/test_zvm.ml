@@ -119,6 +119,56 @@ let test_decode_bad_register () =
   | Error (Decode.Bad_register 9) -> ()
   | _ -> Alcotest.fail "expected bad register"
 
+(* Both readers of the one decoder agree on every opcode byte, with
+   random operands cut at every length, and a fetching reader sees
+   exactly the bytes the result needs: an instruction's own bytes, in
+   order, each once; on an error, the bytes up to the one that caused
+   it.  The buffered read starts past a garbage prefix and stops at a
+   limit short of the buffer's end, so both bounds are exercised. *)
+let test_decode_readers_agree () =
+  let rng = Random.State.make [| 15 |] in
+  let addr = 0x1000 and prefix = 3 in
+  let pp_result = function
+    | Ok (i, n) -> Printf.sprintf "Ok (%s, %d)" (Insn.to_string i) n
+    | Error e -> "Error " ^ Decode.error_to_string e
+  in
+  for op = 0 to 255 do
+    for _ = 1 to 24 do
+      let operands =
+        Bytes.init 6 (fun k ->
+            (* the register byte is in range about half the time *)
+            if k = 0 && Random.State.bool rng then Char.chr (Random.State.int rng 0xa0)
+            else Char.chr (Random.State.int rng 256))
+      in
+      let insn = Bytes.cat (Bytes.make 1 (Char.chr op)) operands in
+      for cut = 0 to Bytes.length insn do
+        let buf =
+          Bytes.concat Bytes.empty [ Bytes.make prefix '\xff'; Bytes.sub insn 0 cut; Bytes.make 7 '\x10' ]
+        in
+        let log = ref [] in
+        let fetch a =
+          log := a :: !log;
+          let k = a - addr in
+          if k >= 0 && k < cut then Some (Char.code (Bytes.get insn k)) else None
+        in
+        let fetched = Decode.decode ~fetch addr in
+        let buffered = Decode.decode_sub buf ~pos:prefix ~limit:(prefix + cut) in
+        let what = Printf.sprintf "opcode 0x%02x, %s cut at %d" op (Hex.of_bytes insn) cut in
+        Alcotest.(check string) what (pp_result fetched) (pp_result buffered);
+        let reads = List.rev !log in
+        let upto n = List.init n (fun k -> addr + k) in
+        let expected =
+          match fetched with
+          | Ok (_, n) -> upto n
+          | Error (Decode.Bad_opcode _) -> upto 1
+          | Error (Decode.Bad_register _) -> upto 2
+          | Error Decode.Truncated -> upto (cut + 1)
+        in
+        Alcotest.(check (list int)) (what ^ ": fetches") expected reads
+      done
+    done
+  done
+
 let arbitrary_insn =
   let open QCheck.Gen in
   let reg = oneofl (Array.to_list Reg.general) in
@@ -420,6 +470,7 @@ let suite =
     Alcotest.test_case "decode bad opcode" `Quick test_decode_bad_opcode;
     Alcotest.test_case "decode truncated" `Quick test_decode_truncated;
     Alcotest.test_case "decode bad register" `Quick test_decode_bad_register;
+    Alcotest.test_case "decode readers agree" `Quick test_decode_readers_agree;
     QCheck_alcotest.to_alcotest test_qcheck_encode_decode;
     Alcotest.test_case "static target" `Quick test_static_target;
     Alcotest.test_case "fallthrough classes" `Quick test_fallthrough_classification;
