@@ -13,10 +13,13 @@
      fingerprint.  A changed caller whose references into a callee are
      unchanged leaves the callee's key — and cached entry — intact.
 
-   - {e Level 0 — assembled-IR memo.}  The finished pristine
-     [Ir_construction.t] for a whole binary, keyed by everything.  A hit
-     pays one {!Irdb.Db.copy}; this is what makes fully-warm repeat
-     rewrites (fuzzing loops, corpus re-runs) nearly free.
+   - {e Level 0 — assembled-IR memo.}  The snapshot
+     ({!Ir_construction.snapshot}) of the finished pristine IR for a
+     whole binary, keyed by everything.  A hit is one
+     {!Ir_construction.restore}, the same cheap restore as a
+     snapshot-cache hit; this is what makes fully-warm repeat rewrites
+     (fuzzing loops, corpus re-runs) nearly free.  Holding payloads
+     instead of live IRs keeps the memo a few tens of KiB per binary.
 
    Byte-identity with the cold path is by construction, not by luck:
 
@@ -41,7 +44,6 @@
      caller falls back to the cold path (and harvests it), so a binary
      the scheme cannot prove clean is merely slow, never wrong. *)
 
-module Db = Irdb.Db
 module Agg = Disasm.Aggregate
 module Chunker = Disasm.Chunker
 module Rcache = Irdb.Rcache
@@ -55,9 +57,10 @@ type fragment = Stitch.fragment = { boundaries : (int * Zvm.Insn.t * int) array 
 
 type t = {
   fragments : fragment Rcache.t;
-  memo : (Ir_construction.t * int) Rcache.t;
-      (* pristine IR + its chunk count (so a memo hit can report
-         routine-level hit counters without re-running the chunker) *)
+  memo : (string * int) Rcache.t;
+      (* pristine IR's snapshot + its chunk count (so a memo hit can
+         report routine-level hit counters without re-running the
+         chunker) *)
 }
 
 type key_set = {
@@ -78,24 +81,6 @@ type outcome = {
 
 (* ---------- fragment disk codec ---------- *)
 
-let hex_of_bytes b =
-  let n = Bytes.length b in
-  let out = Buffer.create (2 * n) in
-  for i = 0 to n - 1 do
-    Buffer.add_string out (Printf.sprintf "%02x" (Char.code (Bytes.get b i)))
-  done;
-  Buffer.contents out
-
-let bytes_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    try
-      Some
-        (Bytes.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
-
 let encode_fragment f =
   let b = Buffer.create (64 + (Array.length f.boundaries * 24)) in
   Buffer.add_string b
@@ -104,7 +89,7 @@ let encode_fragment f =
     (fun (rel, insn, len) ->
       Buffer.add_string b
         (Printf.sprintf "%d %d %s\n" rel len
-           (hex_of_bytes (Zvm.Encode.to_bytes insn))))
+           (Zipr_util.Hex.of_bytes (Zvm.Encode.to_bytes insn))))
     f.boundaries;
   Buffer.contents b
 
@@ -121,9 +106,10 @@ let decode_fragment s =
               let parse line =
                 match String.split_on_char ' ' line with
                 | [ rel; len; hex ] -> (
-                    match
-                      (int_of_string_opt rel, int_of_string_opt len, bytes_of_hex hex)
-                    with
+                    let raw =
+                      try Some (Zipr_util.Hex.to_bytes hex) with Invalid_argument _ -> None
+                    in
+                    match (int_of_string_opt rel, int_of_string_opt len, raw) with
                     | Some rel, Some len, Some raw -> (
                         match Zvm.Decode.decode_bytes raw ~pos:0 with
                         | Ok (insn, ilen) when ilen = len && ilen = Bytes.length raw ->
@@ -148,12 +134,7 @@ let decode_fragment s =
 
 let weigh_fragment f = 64 + (56 * Array.length f.boundaries)
 
-(* A resident memo entry holds the whole IR: rows, links, the aggregate's
-   per-byte verdict array and boundary table, the pin list.  A rough
-   per-row and per-text-byte estimate is enough for the byte budget's
-   purpose (bounding growth, not accounting to the byte). *)
-let weigh_memo ((ir : Ir_construction.t), _) =
-  1024 + (3 * ir.Ir_construction.aggregate.Agg.len) + (160 * Db.count ir.Ir_construction.db)
+let weigh_memo (payload, _) = String.length payload
 
 let create ?(fragment_capacity = 65536) ?fragment_bytes ?(memo_capacity = 64)
     ?memo_bytes ?dir () =
@@ -239,8 +220,7 @@ let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys
           if rebuilt then Rcache.store t.fragments ~key:chunk_keys.(i) f)
         resolved;
       Rcache.store t.memo ~key:memo_key
-        ( { ir with Ir_construction.db = Db.copy ir.Ir_construction.db },
-          Array.length scan.Chunker.chunks );
+        (Ir_construction.snapshot ir, Array.length scan.Chunker.chunks);
       Some ir
 
 (* ---------- public entry points ---------- *)
@@ -254,13 +234,20 @@ let obtain t ~pin_config ?(infer = false) binary =
        (scan, Array.map (chunk_key ~fp binary scan) scan.Chunker.chunks))
   in
   let keys = { binary; memo_key; scan_keys } in
-  match Rcache.find t.memo memo_key with
+  (* A payload that does not restore is a memo miss: the stitch or the
+     cold build that follows replaces it. *)
+  let memo_hit =
+    match Rcache.find t.memo memo_key with
+    | Some (payload, n) -> (
+        match Ir_construction.restore binary payload with
+        | Ok ir -> Some (ir, n)
+        | Error _ -> None)
+    | None -> None
+  in
+  match memo_hit with
   | Some (ir, n) ->
       Obs.count "delta.memo_hits" 1;
       Obs.count "delta.routine_hits" n;
-      let ir =
-        { ir with Ir_construction.db = Db.copy ~orig:binary ir.Ir_construction.db }
-      in
       { ir = Some ir; routine_hits = n; routine_misses = 0; delta_built = false; keys }
   | None -> (
       let scan, chunk_keys = Lazy.force scan_keys in
@@ -342,8 +329,7 @@ let harvest t (o : outcome) (ir : Ir_construction.t) =
       | None -> ())
     scan.Chunker.chunks;
   Rcache.store t.memo ~key:o.keys.memo_key
-    ( { ir with Ir_construction.db = Db.copy ir.Ir_construction.db },
-      Array.length scan.Chunker.chunks )
+    (Ir_construction.snapshot ir, Array.length scan.Chunker.chunks)
 
 (* ---------- introspection ---------- *)
 

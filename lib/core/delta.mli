@@ -10,8 +10,10 @@
       whose references into an unchanged callee are unchanged does not
       touch the callee's key, so version-to-version rewrites reuse the
       IR of every untouched routine;
-    - an {e assembled-IR memo}: the finished pristine IR of a whole
-      binary, a hit paying only one {!Irdb.Db.copy}.
+    - an {e assembled-IR memo}: the {!Ir_construction.snapshot} of a
+      whole binary's finished pristine IR, a hit paying one
+      {!Ir_construction.restore} (a payload that does not restore is a
+      miss).
 
     The composed result is byte-identical to the cold path: the stitched
     aggregate is used only when a fresh recursive traversal proves it
@@ -31,7 +33,7 @@ val create :
   unit ->
   t
 (** Defaults: 65536 fragment entries / 64 memo entries, no byte budgets,
-    no disk layer.  [dir] persists fragments on disk (atomic framed
+    no disk layer.  [memo_bytes] bounds the memo's payload bytes.  [dir] persists fragments on disk (atomic framed
     writes; corruption reads back as a miss).  Safe to share across
     domains. *)
 
@@ -63,7 +65,7 @@ val harvest : t -> outcome -> Ir_construction.t -> unit
 (** Publish a cold (or snapshot-restored) build's results: fragments for
     every chunk the disassembly aggregation was conclusive about, plus
     the whole-binary memo.  Must be called on the pristine IR, before
-    transforms mutate it (the memo keeps its own copy). *)
+    transforms mutate it (the memo stores its snapshot). *)
 
 (* Introspection, for stats surfaces and tests. *)
 

@@ -1,6 +1,8 @@
 module Db = Irdb.Db
 module Agg = Disasm.Aggregate
 module Iset = Zipr_util.Interval_set
+module Bytebuf = Zipr_util.Bytebuf
+module Dump = Irdb.Dump
 
 type t = {
   db : Db.t;
@@ -202,12 +204,12 @@ let build ?pin_config ?(infer = false) binary =
   let aggregate = Obs.span "disasm" (fun () -> Agg.run ~infer binary) in
   build_from_aggregate ?pin_config binary aggregate
 
-(* -- snapshot / restore: the payload behind Irdb.Cache -- *)
+(* -- snapshot / restore: the payload behind Irdb.Cache and the delta memo -- *)
 
-(* Bump whenever any serialized shape changes (including the embedded
-   ZIRDB2 dump): the version participates in the cache key, so old
+(* Bump whenever any serialized shape changes (including the row records
+   in {!Irdb.Dump}): the version participates in the cache key, so old
    entries become unreachable instead of misparsed. *)
-let snapshot_version = "ZIRIR1"
+let snapshot_version = "ZIRIR2"
 
 (* The refinement pass's codec version.  It joins the fingerprint only
    when [--infer] is on, so every cache key (whole-binary snapshot,
@@ -230,245 +232,177 @@ let reason_code = function
   | Analysis.Ibt.Computed_target -> 7
 
 let reason_of_code = function
-  | 0 -> Some Analysis.Ibt.Entry
-  | 1 -> Some Analysis.Ibt.Data_scan
-  | 2 -> Some Analysis.Ibt.Code_immediate
-  | 3 -> Some Analysis.Ibt.Jump_table
-  | 4 -> Some Analysis.Ibt.After_call
-  | 5 -> Some Analysis.Ibt.Fixed_target
-  | 6 -> Some Analysis.Ibt.Fixed_fallthrough
-  | 7 -> Some Analysis.Ibt.Computed_target
-  | _ -> None
+  | 0 -> Analysis.Ibt.Entry
+  | 1 -> Analysis.Ibt.Data_scan
+  | 2 -> Analysis.Ibt.Code_immediate
+  | 3 -> Analysis.Ibt.Jump_table
+  | 4 -> Analysis.Ibt.After_call
+  | 5 -> Analysis.Ibt.Fixed_target
+  | 6 -> Analysis.Ibt.Fixed_fallthrough
+  | 7 -> Analysis.Ibt.Computed_target
+  | _ -> failwith "bad pin reason code"
 
-let verdict_char = function Agg.Code -> 'c' | Agg.Data -> 'd' | Agg.Ambiguous -> 'a'
+let verdict_code = function Agg.Code -> 0 | Agg.Data -> 1 | Agg.Ambiguous -> 2
 
-let verdict_of_char = function
-  | 'c' -> Some Agg.Code
-  | 'd' -> Some Agg.Data
-  | 'a' -> Some Agg.Ambiguous
-  | _ -> None
+(* Refined offsets as (offset, count, tag) runs of consecutive offsets
+   with one provenance tag. *)
+let rec refined_runs = function
+  | [] -> []
+  | (off, tag) :: _ as entries ->
+      let rec run n = function
+        | (o, t) :: rest when o = off + n && t = tag -> run (n + 1) rest
+        | rest -> (n, rest)
+      in
+      let n, rest = run 0 entries in
+      (off, n, tag) :: refined_runs rest
 
+(* Layout (see the interface for why boundaries are not stored): the
+   version, the text base and length, one byte per text offset (verdict
+   in bits 0-1, length of the boundary instruction starting there in
+   bits 2-4, 0 = none), the tally, refined runs, pin hints, aggregate
+   and IR warnings, pins with reason codes, then the row records
+   ({!Irdb.Dump.add_rows}).  Integers are LEB128, strings and lists
+   length-prefixed. *)
 let snapshot t =
   let agg = t.aggregate in
-  let buf = Buffer.create (65536 + (Db.count t.db * 48)) in
-  Buffer.add_string buf (snapshot_version ^ "\n");
-  Buffer.add_string buf (Printf.sprintf "B %d %d\n" agg.Agg.base agg.Agg.len);
-  (* Verdicts, run-length encoded: long uniform code/data stretches
-     dominate real layouts. *)
-  Buffer.add_string buf "V";
-  let i = ref 0 in
-  while !i < agg.Agg.len do
-    let v = agg.Agg.verdicts.(!i) in
-    let j = ref !i in
-    while !j < agg.Agg.len && agg.Agg.verdicts.(!j) = v do incr j done;
-    Buffer.add_string buf (Printf.sprintf " %c%d" (verdict_char v) (!j - !i));
-    i := !j
-  done;
-  Buffer.add_char buf '\n';
-  (* Decoded boundaries, ascending address (canonical, diff-friendly). *)
-  let boundaries = Array.of_seq (Hashtbl.to_seq agg.Agg.insn_at) in
-  Array.sort (fun (a, _) (b, _) -> compare a b) boundaries;
-  Array.iter
-    (fun (addr, (insn, len)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "A %d %s %d\n" addr
-           (Zipr_util.Hex.of_bytes (Zvm.Encode.to_bytes insn))
-           len))
-    boundaries;
-  (* Aggregation tally (per-case byte counts) and refined-byte runs, so
-     cache hits reproduce the same stats and refinement provenance as the
-     cold build.  Absent in older payloads; restore then falls back to a
-     verdict-derived tally. *)
-  let ty = agg.Agg.tally in
-  Buffer.add_string buf
-    (Printf.sprintf "T %d %d %d %d %d %d %d %d\n" ty.Agg.case1_code ty.Agg.case1_data
-       ty.Agg.case2_disagree ty.Agg.case3_contradict ty.Agg.case4_low_confidence
-       ty.Agg.overlap_len_mismatch ty.Agg.refined_code ty.Agg.refined_data);
-  List.iter
-    (fun (fact, n) -> Buffer.add_string buf (Printf.sprintf "TF %s %d\n" fact n))
-    ty.Agg.refined_by_fact;
-  (* Refined offsets, run-length encoded per provenance tag. *)
-  let rec emit_refined = function
-    | [] -> ()
-    | (off, tag) :: _ as entries ->
-        let rec run n = function
-          | (o, t) :: rest when o = off + n && t = tag -> run (n + 1) rest
-          | rest -> (n, rest)
-        in
-        let n, rest = run 0 entries in
-        Buffer.add_string buf (Printf.sprintf "R %d %d %s\n" off n tag);
-        emit_refined rest
+  let base = agg.Agg.base and len = agg.Agg.len in
+  let buf = Bytebuf.create ~capacity:(1024 + len + (16 * Db.count t.db)) () in
+  let u8 = Bytebuf.u8 buf and uint = Dump.add_uint buf and str = Dump.add_string buf in
+  let list f l =
+    uint (List.length l);
+    List.iter f l
   in
-  emit_refined agg.Agg.refined;
-  (* Pin hints (resolved computed-jump targets); only present under
-     [--infer], so older payloads and infer-off payloads never carry the
-     record. *)
-  (match agg.Agg.pin_hints with
-  | [] -> ()
-  | hints ->
-      Buffer.add_string buf
-        (Printf.sprintf "H %s\n" (String.concat "," (List.map string_of_int hints))));
-  List.iter
-    (fun w -> Buffer.add_string buf (Printf.sprintf "GW %s\n" (String.escaped w)))
-    agg.Agg.warnings;
-  List.iter
-    (fun w -> Buffer.add_string buf (Printf.sprintf "W %s\n" (String.escaped w)))
-    t.warnings;
-  List.iter
-    (fun (addr, reasons) ->
-      Buffer.add_string buf
-        (Printf.sprintf "P %d %s\n" addr
-           (String.concat "," (List.map (fun r -> string_of_int (reason_code r)) reasons))))
+  Bytebuf.string buf snapshot_version;
+  uint base;
+  uint len;
+  let lens = Bytes.make len '\000' in
+  Hashtbl.iter (fun addr (_, l) -> Bytes.set_uint8 lens (addr - base) l) agg.Agg.insn_at;
+  for off = 0 to len - 1 do
+    u8 (verdict_code agg.Agg.verdicts.(off) lor (Bytes.get_uint8 lens off lsl 2))
+  done;
+  let ty = agg.Agg.tally in
+  List.iter uint
+    [
+      ty.Agg.case1_code; ty.Agg.case1_data; ty.Agg.case2_disagree; ty.Agg.case3_contradict;
+      ty.Agg.case4_low_confidence; ty.Agg.overlap_len_mismatch; ty.Agg.refined_code;
+      ty.Agg.refined_data;
+    ];
+  list (fun (fact, n) -> str fact; uint n) ty.Agg.refined_by_fact;
+  list (fun (off, n, tag) -> uint off; uint n; str tag) (refined_runs agg.Agg.refined);
+  list uint agg.Agg.pin_hints;
+  list str agg.Agg.warnings;
+  list str t.warnings;
+  list
+    (fun (addr, reasons) -> uint addr; list (fun r -> u8 (reason_code r)) reasons)
     (Analysis.Ibt.pins t.pins);
-  Buffer.add_string buf "DB\n";
-  Buffer.add_string buf (Irdb.Dump.serialize_exact t.db);
-  Buffer.contents buf
-
-exception Restore of string
-
-(* The "DB" line splits the snapshot: header records above, an embedded
-   ZIRDB2 dump (parsed by its own codec) below. *)
-let split_at_db_marker s =
-  let n = String.length s in
-  if n >= 3 && String.sub s 0 3 = "DB\n" then Some ("", String.sub s 3 (n - 3))
-  else
-    let rec go i =
-      match String.index_from_opt s i '\n' with
-      | None -> None
-      | Some j ->
-          if j + 3 < n && s.[j + 1] = 'D' && s.[j + 2] = 'B' && s.[j + 3] = '\n' then
-            Some (String.sub s 0 (j + 1), String.sub s (j + 4) (n - j - 4))
-          else go (j + 1)
-    in
-    go 0
+  Dump.add_rows buf t.db;
+  Bytebuf.to_string buf
 
 let restore binary payload =
   try
-    let header, dump =
-      match split_at_db_marker payload with
-      | Some parts -> parts
-      | None -> raise (Restore "no DB section")
+    if not (String.starts_with ~prefix:snapshot_version payload) then
+      failwith "snapshot version mismatch";
+    let r = Dump.reader ~pos:(String.length snapshot_version) payload in
+    let uint () = Dump.read_uint r and str () = Dump.read_string r in
+    (* Counts are not trusted to size anything: every element reads at
+       least one byte, so a bad count runs off the payload's end. *)
+    let list f =
+      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
+      go (uint ()) []
     in
-    let base = ref 0 and len = ref (-1) in
-    let verdicts = ref [||] in
-    let insn_at = Hashtbl.create 1024 in
-    let agg_warnings = ref [] in
-    let ir_warnings = ref [] in
-    let pin_list = ref [] in
-    let tally = ref None in
-    let fact_list = ref [] in
-    let refined = ref [] in
-    let pin_hints = ref [] in
-    List.iteri
-      (fun lineno line ->
-        let fail msg = raise (Restore (Printf.sprintf "line %d: %s" (lineno + 1) msg)) in
-        match String.split_on_char ' ' line with
-        | [ "" ] | [] -> ()
-        | [ v ] when v = snapshot_version -> if lineno <> 0 then fail "misplaced header"
-        | [ v ] when String.length v >= 5 && String.sub v 0 5 = "ZIRIR" ->
-            fail "snapshot version mismatch"
-        | [ "B"; b; l ] ->
-            base := int_of_string b;
-            len := int_of_string l;
-            verdicts := Array.make !len Agg.Data
-        | "V" :: runs ->
-            if !len < 0 then fail "V before B";
-            let off = ref 0 in
-            List.iter
-              (fun tok ->
-                if tok <> "" then begin
-                  let v =
-                    match verdict_of_char tok.[0] with
-                    | Some v -> v
-                    | None -> fail "bad verdict code"
-                  in
-                  let count = int_of_string (String.sub tok 1 (String.length tok - 1)) in
-                  if !off + count > !len then fail "verdict run overflows section";
-                  Array.fill !verdicts !off count v;
-                  off := !off + count
-                end)
-              runs;
-            if !off <> !len then fail "verdict runs do not cover section"
-        | [ "A"; addr; hex; ilen ] -> (
-            let bytes = Zipr_util.Hex.to_bytes hex in
-            match Zvm.Decode.decode_bytes bytes ~pos:0 with
-            | Error e ->
-                fail
-                  (Printf.sprintf "bad boundary instruction: %s"
-                     (Zvm.Decode.error_to_string e))
-            | Ok (insn, declen) ->
-                if declen <> Bytes.length bytes then fail "trailing bytes in boundary";
-                Hashtbl.replace insn_at (int_of_string addr) (insn, int_of_string ilen))
-        | [ "T"; c1c; c1d; c2; c3; c4; ov; rc; rd ] ->
-            tally :=
-              Some
-                {
-                  Agg.case1_code = int_of_string c1c;
-                  case1_data = int_of_string c1d;
-                  case2_disagree = int_of_string c2;
-                  case3_contradict = int_of_string c3;
-                  case4_low_confidence = int_of_string c4;
-                  overlap_len_mismatch = int_of_string ov;
-                  refined_code = int_of_string rc;
-                  refined_data = int_of_string rd;
-                  refined_by_fact = [];
-                }
-        | [ "TF"; fact; n ] -> fact_list := (fact, int_of_string n) :: !fact_list
-        | [ "H"; hints ] ->
-            pin_hints := List.map int_of_string (String.split_on_char ',' hints)
-        | [ "R"; off; n; tag ] ->
-            let off = int_of_string off and n = int_of_string n in
-            for i = n - 1 downto 0 do
-              refined := (off + i, tag) :: !refined
-            done
-        | "GW" :: rest -> agg_warnings := Scanf.unescaped (String.concat " " rest) :: !agg_warnings
-        | "W" :: rest -> ir_warnings := Scanf.unescaped (String.concat " " rest) :: !ir_warnings
-        | [ "P"; addr; codes ] ->
-            let reasons =
-              List.map
-                (fun c ->
-                  match reason_of_code (int_of_string c) with
-                  | Some r -> r
-                  | None -> fail "bad pin reason code")
-                (String.split_on_char ',' codes)
-            in
-            pin_list := (int_of_string addr, reasons) :: !pin_list
-        | _ -> fail "unrecognized record")
-      (String.split_on_char '\n' header);
-    if !len < 0 then raise (Restore "missing B record");
+    let text = Zelf.Binary.text binary in
+    let base = uint () in
+    let len = uint () in
+    if base <> text.Zelf.Section.vaddr || len <> text.Zelf.Section.size then
+      failwith "text base or length differs from the binary's";
+    let data = text.Zelf.Section.data in
+    let verdicts = Array.make len Agg.Data in
+    let insn_at = Hashtbl.create ((len / 4) + 16) in
+    for off = 0 to len - 1 do
+      let b = Dump.read_u8 r in
+      verdicts.(off) <-
+        (match b land 3 with
+        | 0 -> Agg.Code
+        | 1 -> Agg.Data
+        | 2 -> Agg.Ambiguous
+        | _ -> failwith "bad verdict code");
+      let ilen = b lsr 2 in
+      if ilen > 0 then
+        match Zvm.Decode.decode_sub data ~pos:off ~limit:len with
+        | Ok ((_, l) as decoded) when l = ilen -> Hashtbl.add insn_at (base + off) decoded
+        | _ ->
+            failwith
+              (Printf.sprintf "boundary at 0x%x does not decode to %d bytes" (base + off) ilen)
+    done;
+    let case1_code = uint () in
+    let case1_data = uint () in
+    let case2_disagree = uint () in
+    let case3_contradict = uint () in
+    let case4_low_confidence = uint () in
+    let overlap_len_mismatch = uint () in
+    let refined_code = uint () in
+    let refined_data = uint () in
+    let refined_by_fact =
+      list (fun () ->
+          let fact = str () in
+          (fact, uint ()))
+    in
+    (* Runs ascend without overlap, so together they cover at most the
+       text. *)
+    let next = ref 0 in
+    let refined =
+      list (fun () ->
+          let off = uint () in
+          let n = uint () in
+          if off < !next || n < 1 || off + n > len then failwith "refined runs out of order";
+          next := off + n;
+          (off, n, str ()))
+      |> List.concat_map (fun (off, n, tag) -> List.init n (fun i -> (off + i, tag)))
+    in
+    let pin_hints = list uint in
+    let agg_warnings = list str in
+    let warnings = list str in
+    let pins =
+      list (fun () ->
+          let addr = uint () in
+          (addr, list (fun () -> reason_of_code (Dump.read_u8 r))))
+    in
+    let db = Dump.read_rows ~orig:binary r in
+    if not (Dump.at_end r) then failwith "trailing bytes after the last record";
     let aggregate =
       {
-        Agg.base = !base;
-        len = !len;
-        verdicts = !verdicts;
+        Agg.base;
+        len;
+        verdicts;
         insn_at;
-        warnings = List.rev !agg_warnings;
+        warnings = agg_warnings;
         tally =
-          (match !tally with
-          | Some t -> { t with Agg.refined_by_fact = List.rev !fact_list }
-          (* Pre-tally payload: recover the agreement counts from the
-             verdicts; the ambiguous-case split is unknowable. *)
-          | None -> Agg.tally_of_verdicts !verdicts);
-        refined = List.sort compare !refined;
-        pin_hints = !pin_hints;
+          {
+            Agg.case1_code;
+            case1_data;
+            case2_disagree;
+            case3_contradict;
+            case4_low_confidence;
+            overlap_len_mismatch;
+            refined_code;
+            refined_data;
+            refined_by_fact;
+          };
+        refined;
+        pin_hints;
       }
     in
-    match Irdb.Dump.deserialize_exact ~size_hint:(Hashtbl.length insn_at) ~orig:binary dump with
-    | Error msg -> Error ("irdb: " ^ msg)
-    | Ok db ->
-        Ok
-          {
-            db;
-            aggregate;
-            pins = Analysis.Ibt.of_pins (List.rev !pin_list);
-            (* Pure functions of the verdicts; cheaper to recompute than
-               to persist and cross-check. *)
-            fixed_ranges = Agg.ambiguous_ranges aggregate;
-            data_ranges = data_ranges_of aggregate;
-            warnings = List.rev !ir_warnings;
-          }
+    Ok
+      {
+        db;
+        aggregate;
+        pins = Analysis.Ibt.of_pins pins;
+        (* Pure functions of the verdicts; cheaper to recompute than
+           to persist and cross-check. *)
+        fixed_ranges = Agg.ambiguous_ranges aggregate;
+        data_ranges = data_ranges_of aggregate;
+        warnings;
+      }
   with
-  | Restore msg -> Error msg
-  | Scanf.Scan_failure msg -> Error msg
-  | Failure msg -> Error msg
-  | Invalid_argument msg -> Error msg
+  | Failure msg | Invalid_argument msg -> Error msg
+  | Not_found -> Error "no text section"

@@ -53,7 +53,15 @@ val build_from_aggregate :
     the same input (fuzzing, corpus runs, [ziprtool batch --cache]) skip
     the phase entirely; {!Irdb.Cache} stores the payloads, keyed by
     {!Irdb.Cache.key} over [snapshot_version], {!fingerprint} and the
-    input bytes. *)
+    input bytes, and the delta path's whole-binary memo ({!Delta}) holds
+    them too.
+
+    The payload is binary ([ZIRIR2], laid out in DESIGN.md §9.2).
+    Boundary instructions are not stored: restore decodes each one in
+    place from the binary's text.  That is sound because the key covers
+    the input bytes, and every aggregate boundary (linear, recursive,
+    superset, inferred or stitched) is a decode of that text at that
+    offset. *)
 
 val snapshot_version : string
 (** Participates in the cache key, so a codec change silently invalidates
@@ -68,10 +76,16 @@ val fingerprint : ?infer:bool -> Analysis.Ibt.config -> string
 val infer_codec_version : string
 
 val snapshot : t -> string
+(** Serialize a pristine [build] result.  Raises [Invalid_argument] if a
+    row has been removed (transforms can; [build] never does). *)
 
 val restore : Zelf.Binary.t -> string -> (t, string) result
 (** Rebuild a [build] result from [snapshot] output over the same binary.
     [restore binary (snapshot (build binary))] is structurally identical
     to the original — same row ids, links, pins, marks, functions, entry,
     warnings — so downstream phases cannot distinguish a cache hit from a
-    cold build. *)
+    cold build.  Returns [Error] when the version differs, the text base
+    or length differs from [Zelf.Binary.text binary], a boundary does not
+    decode to its recorded length, a read runs past the end or bytes
+    trail the last record, or the rebuilt db fails {!Irdb.Db.validate};
+    callers then build cold. *)

@@ -243,30 +243,6 @@ let pin_is_marked t addr = Hashtbl.mem t.marked_pins addr
 let marked_pins t =
   Hashtbl.fold (fun addr () acc -> addr :: acc) t.marked_pins [] |> List.sort compare
 
-(* Structural deep copy: fresh row records and index tables, optionally
-   rebound to a different (byte-identical-in-text) original binary.  This
-   is what makes an assembled-IR cache hit cheap — the memoized pristine
-   Db is never handed out directly (transforms mutate rows in place);
-   each hit pays only the copy, a fraction of rebuilding rows and links
-   from an aggregate. *)
-let copy ?orig t =
-  let rows = Array.map (Option.map (fun r -> { r with id = r.id })) t.rows in
-  {
-    orig_binary = (match orig with Some b -> b | None -> t.orig_binary);
-    rows;
-    live = t.live;
-    by_orig = Hashtbl.copy t.by_orig;
-    by_pin = Hashtbl.copy t.by_pin;
-    next_id = t.next_id;
-    entry_id = t.entry_id;
-    functions = t.functions;
-    next_fid = t.next_fid;
-    extra_sections = t.extra_sections;
-    pin_prologue_insns = t.pin_prologue_insns;
-    marked_pins = Hashtbl.copy t.marked_pins;
-    reloc_list = t.reloc_list;
-  }
-
 let validate t =
   let issues = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in

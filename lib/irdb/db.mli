@@ -166,18 +166,8 @@ val pin_is_marked : t -> int -> bool
 
 val marked_pins : t -> int list
 (** Every address passed to {!mark_pin}, ascending — including marks on
-    addresses whose pin was later dropped.  Needed by the exact
-    persistence codec ({!Dump.serialize_exact}). *)
-
-(* Copy *)
-
-val copy : ?orig:Zelf.Binary.t -> t -> t
-(** Structural deep copy: fresh row records and index tables, so edits to
-    the copy never reach the original.  [?orig] rebinds the copy to a
-    different original binary (used by the assembled-IR memo, whose key
-    guarantees the text bytes are identical; data sections may differ and
-    must come from the {e current} binary at reassembly).  Immutable
-    payloads (instructions, section records, function list) are shared. *)
+    addresses whose pin was later dropped.  Needed by the IR snapshot's
+    row records ({!Dump.add_rows}). *)
 
 (* Consistency *)
 

@@ -29,18 +29,42 @@ val deserialize : orig:Zelf.Binary.t -> string -> (Db.t, string) result
     {e not} persisted (persist before transformation, as the pipeline
     does between its phases). *)
 
-(** {2 Exact (version 2) codec}
+(** {2 Binary row records}
 
-    The IR cache needs a {e bit-exact} round trip: a db restored from a
-    snapshot must reassemble to the same bytes as the db that produced
-    it, which means row ids (placement iterates them in order), every
-    pin mark (including marks whose pin was later dropped) and the entry
-    sentinel must all survive.  [serialize_exact]/[deserialize_exact]
-    are that codec; the [ZIRDB2] header keeps the two formats from being
-    confused.  [deserialize_exact] re-validates the structural invariants
-    and errors (rather than degrading) on ids it cannot reproduce. *)
+    The rows of a binary IR snapshot ([Ir_construction.snapshot], version
+    [ZIRIR2]); the rest of that payload belongs to [Ir_construction],
+    which shares the integer and string primitives below.  A snapshot
+    must restore to the same bytes as the db that produced it, so row
+    ids (placement iterates them in order), every pin mark (including
+    marks whose pin was later dropped) and the entry all survive.
 
-val serialize_exact : Db.t -> string
+    Layout: an entry presence byte (then the entry id), the row count,
+    one record per row in id order, the functions in fid order (name,
+    entry row), and the marked pins.  A row record is a flags byte (bit
+    0 [fixed]; bits 1-5 say which of [fallthrough], [target], [pinned],
+    [orig_addr] and [func] follow), the instruction's encoded length and
+    bytes, then the present fields.  Integers are LEB128; strings are
+    length-prefixed.  Row and function ids are the record order. *)
 
-val deserialize_exact :
-  ?size_hint:int -> orig:Zelf.Binary.t -> string -> (Db.t, string) result
+type reader
+(** A cursor over a payload.  Reads past its end raise
+    [Invalid_argument]; malformed contents raise [Failure]. *)
+
+val reader : ?pos:int -> string -> reader
+val at_end : reader -> bool
+val read_u8 : reader -> int
+val add_uint : Zipr_util.Bytebuf.t -> int -> unit
+val read_uint : reader -> int
+val add_string : Zipr_util.Bytebuf.t -> string -> unit
+val read_string : reader -> string
+
+val add_rows : Zipr_util.Bytebuf.t -> Db.t -> unit
+(** Append the db's row records.  Raises [Invalid_argument] if a row was
+    removed, since ids are not written. *)
+
+val read_rows : orig:Zelf.Binary.t -> reader -> Db.t
+(** Rebuild a db from [add_rows] output, decoding each instruction in
+    place from the payload.  Raises [Failure] when an instruction does
+    not decode to its recorded length, a row names an undeclared
+    function, or {!Db.validate} reports an issue (dead links, a pin
+    table disagreement, a dead entry). *)

@@ -1,15 +1,14 @@
-(* A mutex-protected, byte-budgeted LRU over structured (in-memory)
-   payloads — the storage layer behind the routine-granular IR cache.
+(* A mutex-protected, byte-budgeted LRU over in-memory payloads of any
+   type — the storage layer behind the routine-granular IR cache.
 
-   {!Cache} stores serialized strings; restoring a whole-binary snapshot
-   through a codec costs a large fraction of a cold build (string parse +
-   IRDB deserialize).  The delta path instead caches {e structured}
-   fragments and assembled IR and shares them by reference, so a hit
-   costs a hashtable probe, not a parse.  Payload type is a parameter;
-   the caller supplies a [weigh] function (approximate resident bytes)
-   for the byte budget, and optionally a serializer pair to enable a disk
-   layer (atomic temp-file + rename, self-keyed framing, same discipline
-   as {!Cache}). *)
+   The delta path keeps two instances: routine fragments, stored
+   structured and shared by reference (a hit is a hashtable probe), and
+   the whole-binary memo, which stores IR snapshot strings (a hit is one
+   restore, as for {!Cache}).  Payload type is a parameter; the caller
+   supplies a [weigh] function (approximate resident bytes) for the byte
+   budget, and optionally a serializer pair to enable a disk layer
+   (atomic temp-file + rename, self-keyed framing, same discipline as
+   {!Cache}). *)
 
 type 'a disk = {
   dir : string;

@@ -1,9 +1,9 @@
-(** Byte-budgeted LRU over structured in-memory payloads — the storage
+(** Byte-budgeted LRU over in-memory payloads of any type — the storage
     layer behind the routine-granular (delta) IR cache.
 
-    Unlike {!Cache}, which stores serialized strings, payloads here stay
-    structured and are shared by reference: a hit costs a hashtable
-    probe, not a codec parse.  Thread-safe (one mutex per cache, like
+    Unlike {!Cache}, whose payloads are strings, the payload type is a
+    parameter: delta fragments stay structured and are shared by
+    reference, so a hit costs a hashtable probe, not a codec parse.  Thread-safe (one mutex per cache, like
     {!Cache}); the optional disk layer writes framed entries atomically
     through a caller-supplied codec. *)
 

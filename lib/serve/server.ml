@@ -156,7 +156,8 @@ let create ?(config = default_config) ~resolve_transform addr =
       (if config.delta then
          (* The fragment store shares the snapshot cache's disk directory
             (entries use a distinct extension) and inherits its byte
-            budget; the memo is entry-bounded like the snapshot LRU. *)
+            budget; the memo holds IR snapshots and is entry-bounded like
+            the snapshot LRU. *)
          Some
            (Zipr.Delta.create
               ~fragment_bytes:(max 1 config.cache_max_bytes)

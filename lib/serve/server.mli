@@ -30,8 +30,9 @@ type config = {
   cache_disk_bytes : int option;  (** bound [cache_dir]'s total size *)
   delta : bool;
       (** enable the shared routine-granular cache: requests are served
-          through {!Zipr.Delta} (whole-IR memo + routine-fragment
-          stitching) before falling back to the snapshot IR cache *)
+          through {!Zipr.Delta} (a whole-binary memo of IR snapshots,
+          [cache_entries] of them, then routine-fragment stitching)
+          before falling back to the snapshot IR cache *)
   read_timeout_s : float;  (** per-connection socket read timeout *)
   max_ping_sleep_us : int;  (** cap on client-requested ping sleeps *)
   placement_budget : int option;

@@ -17,20 +17,27 @@ let named_binaries () =
     ("dense-pins", fst (Testprogs.assemble (Testprogs.dense_pins_program ())));
   ]
 
-(* -- exact IRDB codec -- *)
+(* -- the snapshot's binary row records -- *)
 
 let test_exact_dump_roundtrip () =
   List.iter
     (fun (name, binary) ->
       let ir = Ir.build binary in
-      let dump = Irdb.Dump.serialize_exact ir.Ir.db in
-      match Irdb.Dump.deserialize_exact ~orig:binary dump with
-      | Error e -> Alcotest.failf "%s: deserialize_exact: %s" name e
-      | Ok db2 ->
-          Alcotest.(check (list string)) (name ^ ": restored db validates") [] (Db.validate db2);
-          Alcotest.(check int) (name ^ ": row count") (Db.count ir.Ir.db) (Db.count db2);
-          Alcotest.(check string) (name ^ ": codec is a fixed point") dump
-            (Irdb.Dump.serialize_exact db2))
+      let records db =
+        let buf = Zipr_util.Bytebuf.create () in
+        Irdb.Dump.add_rows buf db;
+        Zipr_util.Bytebuf.to_string buf
+      in
+      let payload = records ir.Ir.db in
+      let r = Irdb.Dump.reader payload in
+      let db2 = Irdb.Dump.read_rows ~orig:binary r in
+      Alcotest.(check bool) (name ^ ": every byte read") true (Irdb.Dump.at_end r);
+      Alcotest.(check (list string)) (name ^ ": restored db validates") [] (Db.validate db2);
+      Alcotest.(check string) (name ^ ": same rows, pins and functions")
+        (Irdb.Dump.to_string ir.Ir.db) (Irdb.Dump.to_string db2);
+      Alcotest.(check (list int)) (name ^ ": same marked pins") (Db.marked_pins ir.Ir.db)
+        (Db.marked_pins db2);
+      Alcotest.(check string) (name ^ ": codec is a fixed point") payload (records db2))
     (named_binaries ())
 
 (* -- IR snapshot / restore -- *)
@@ -63,9 +70,65 @@ let test_restore_rejects_garbage () =
     | Ok _ -> Alcotest.failf "%s unexpectedly restored" name
   in
   reject "empty" "";
-  reject "wrong version" "ZIRIR0\nB 0 0\n";
+  reject "text codec" "ZIRIR1\nB 0 0\n";
   let snap = Ir.snapshot (Ir.build binary) in
   reject "truncated" (String.sub snap 0 (String.length snap / 2))
+
+(* Bytes of the LEB128 encoding of a non-negative int. *)
+let rec uleb_len n = if n < 0x80 then 1 else 1 + uleb_len (n lsr 7)
+
+let test_restore_refuses_unvouched () =
+  let binary, _ = Testprogs.assemble (Testprogs.dispatch_program ()) in
+  let ir = Ir.build binary in
+  let snap = Ir.snapshot ir in
+  let refused what payload b =
+    match Ir.restore b payload with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: restored" what
+  in
+  (match Ir.restore binary snap with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the intact payload does not restore: %s" e);
+  for n = 0 to String.length snap - 1 do
+    refused (Printf.sprintf "prefix of %d bytes" n) (String.sub snap 0 n) binary
+  done;
+  refused "trailing byte" (snap ^ "\000") binary;
+  (* The boundary byte of the first instruction: version, base, length,
+     then one byte per text offset with the boundary length in bits 2-4. *)
+  let agg = ir.Ir.aggregate in
+  let base = agg.Disasm.Aggregate.base and insn_at = agg.Disasm.Aggregate.insn_at in
+  let off =
+    let rec first off = if Hashtbl.mem insn_at (base + off) then off else first (off + 1) in
+    first 0
+  in
+  let _, len = Hashtbl.find insn_at (base + off) in
+  let at =
+    String.length Ir.snapshot_version + uleb_len base + uleb_len agg.Disasm.Aggregate.len + off
+  in
+  let byte = Char.code snap.[at] in
+  Alcotest.(check int) "layout: boundary length at the text offset" len (byte lsr 2);
+  let wrong = if len = 1 then 2 else len - 1 in
+  let bad = Bytes.of_string snap in
+  Bytes.set_uint8 bad at ((byte land 3) lor (wrong lsl 2));
+  refused "boundary length disagrees with the decode" (Bytes.to_string bad) binary;
+  (* The same payload against a text at another base, and a longer one. *)
+  let text = Zelf.Binary.text binary in
+  let with_text t =
+    {
+      binary with
+      Zelf.Binary.sections =
+        List.map (fun s -> if s == text then t else s) binary.Zelf.Binary.sections;
+    }
+  in
+  refused "text base differs" snap
+    (with_text { text with Zelf.Section.vaddr = text.Zelf.Section.vaddr + 0x10000 });
+  refused "text length differs" snap
+    (with_text
+       {
+         text with
+         Zelf.Section.data = Bytes.cat text.Zelf.Section.data (Bytes.make 1 '\x90');
+         size = text.Zelf.Section.size + 1;
+       })
 
 (* -- the content-addressed store itself -- *)
 
@@ -144,6 +207,32 @@ let test_pipeline_cache_counts () =
     (Bytes.equal (bytes_of baseline) (bytes_of cold));
   Alcotest.(check bool) "hit output byte-identical to uncached" true
     (Bytes.equal (bytes_of baseline) (bytes_of warm))
+
+(* A cached payload that does not restore is a miss: the rewrite builds
+   cold, matches the uncached bytes, and re-stores a good entry. *)
+let test_pipeline_restore_fallback () =
+  let binary, _ = Testprogs.assemble (Testprogs.dispatch_program ()) in
+  let pin_config = Zipr.Pipeline.default_config.Zipr.Pipeline.pin_config in
+  let baseline = Zipr.Pipeline.rewrite ~transforms binary in
+  let cache = Cache.create () in
+  let key = Zipr.Pipeline.ir_cache_key ~pin_config ~infer:false binary in
+  let bad = Ir.snapshot (Ir.build ~pin_config binary) ^ "\000" in
+  Alcotest.(check bool) "the planted payload does not restore" true
+    (Result.is_error (Ir.restore binary bad));
+  Cache.store cache ~key bad;
+  let r = Zipr.Pipeline.rewrite ~ir_cache:cache ~transforms binary in
+  Alcotest.(check bool) "output byte-identical to uncached" true
+    (Bytes.equal
+       (Zelf.Binary.serialize baseline.Zipr.Pipeline.rewritten)
+       (Zelf.Binary.serialize r.Zipr.Pipeline.rewritten));
+  Alcotest.(check bool) "counted as one miss" true
+    (r.Zipr.Pipeline.cache
+    = { Zipr.Pipeline.zero_cache_stats with Zipr.Pipeline.ir_cache_misses = 1 });
+  match Cache.find cache key with
+  | None -> Alcotest.fail "nothing re-stored"
+  | Some payload ->
+      Alcotest.(check bool) "the re-stored entry restores" true
+        (Result.is_ok (Ir.restore binary payload))
 
 let test_corpus_warm_hits () =
   let items =
@@ -322,6 +411,8 @@ let suite =
     Alcotest.test_case "exact IRDB codec round-trips" `Quick test_exact_dump_roundtrip;
     Alcotest.test_case "IR snapshot/restore round-trips" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "restore rejects malformed payloads" `Quick test_restore_rejects_garbage;
+    Alcotest.test_case "restore refuses what it cannot vouch for" `Quick
+      test_restore_refuses_unvouched;
     Alcotest.test_case "LRU eviction respects capacity and recency" `Quick test_lru_eviction;
     Alcotest.test_case "byte budget: eviction keeps resident <= budget" `Quick
       test_budget_invariant;
@@ -341,6 +432,8 @@ let suite =
     Alcotest.test_case "cache key tracks version, config, input" `Quick test_key_sensitivity;
     Alcotest.test_case "pipeline counts hits/misses, outputs identical" `Quick
       test_pipeline_cache_counts;
+    Alcotest.test_case "pipeline rebuilds when a cached payload does not restore" `Quick
+      test_pipeline_restore_fallback;
     Alcotest.test_case "corpus warm runs hit for every item (jobs 1/4)" `Slow
       test_corpus_warm_hits;
   ]
