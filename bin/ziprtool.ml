@@ -580,8 +580,9 @@ let batch_cmd =
           ~doc:
             "Enable the routine-granular delta cache: binaries that share routines with \
              earlier (or cached) inputs reuse per-routine IR fragments and whole-IR \
-             memo entries instead of rebuilding. With $(b,--cache) DIR the fragment \
-             store persists under DIR/delta. Outputs are byte-identical either way.")
+             memo entries instead of rebuilding. With $(b,--cache) DIR the fragments \
+             persist in DIR too, under the same disk bound. Outputs are byte-identical \
+             either way.")
   in
   let cache_disk_entries =
     Arg.(
@@ -589,8 +590,9 @@ let batch_cmd =
       & opt (some int) None
       & info [ "cache-disk-entries" ] ~docv:"N"
           ~doc:
-            "Bound the $(b,--cache) directory to N entry files; after each store the \
-             oldest entries are pruned. Unbounded by default.")
+            "Bound the $(b,--cache) directory to N entry files (IR snapshots and \
+             $(b,--delta) fragments together); after each store the oldest entries are \
+             pruned. Unbounded by default.")
   in
   let cache_disk_bytes =
     Arg.(
@@ -665,9 +667,8 @@ let batch_cmd =
         let routine_cache =
           if delta then
             Some
-              (Zipr.Delta.create
-                 ?dir:(Option.map (fun d -> Filename.concat d "delta") cache_dir)
-                 ())
+              (Zipr.Delta.create ?dir:cache_dir ?max_disk_entries:disk_entries
+                 ?max_disk_bytes:disk_bytes ())
           else None
         in
         let report =
@@ -761,7 +762,10 @@ let serve_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR" ~doc:"Spill the shared IR cache to this directory.")
+      & info [ "cache" ] ~docv:"DIR"
+          ~doc:
+            "Spill the shared IR cache (and, with $(b,--delta), the routine fragments) \
+             to this directory.")
   in
   let cache_disk_entries =
     Arg.(

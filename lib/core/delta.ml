@@ -136,20 +136,29 @@ let weigh_fragment f = 64 + (56 * Array.length f.boundaries)
 
 let weigh_memo (payload, _) = String.length payload
 
-let create ?(fragment_capacity = 65536) ?fragment_bytes ?(memo_capacity = 64)
-    ?memo_bytes ?dir () =
+let fragment_codec =
+  {
+    Rcache.magic = "ZIRRC1";
+    ext = ".zirr";
+    encode = encode_fragment;
+    decode = decode_fragment;
+  }
+
+let create ?fragment_bytes ?(memo_capacity = 64) ?dir ?max_disk_entries ?max_disk_bytes
+    () =
   let disk =
     Option.map
-      (fun dir -> { Rcache.dir; encode = encode_fragment; decode = decode_fragment })
+      (fun dir ->
+        ( { Rcache.dir; max_entries = max_disk_entries; max_bytes = max_disk_bytes },
+          fragment_codec ))
       dir
   in
   {
     fragments =
-      Rcache.create ~capacity:fragment_capacity ?max_bytes:fragment_bytes ?disk
-        ~name:"delta.frag" ~weigh:weigh_fragment ();
+      Rcache.create ~capacity:65536 ?max_bytes:fragment_bytes ?disk ~name:"delta.frag"
+        ~weigh:weigh_fragment ();
     memo =
-      Rcache.create ~capacity:memo_capacity ?max_bytes:memo_bytes
-        ~name:"delta.memo" ~weigh:weigh_memo ();
+      Rcache.create ~capacity:memo_capacity ~name:"delta.memo" ~weigh:weigh_memo ();
   }
 
 (* ---------- keys ---------- *)
@@ -186,6 +195,14 @@ let memo_key ~fp binary =
 
 (* ---------- partial rebuild + validation ---------- *)
 
+(* Store chunk [i]'s fragment under [keys.(i)] wherever there is one:
+   one call, so a disk-bounded store scans its directory once. *)
+let store_fragments t keys frags =
+  Array.to_seqi frags
+  |> Seq.filter_map (fun (i, f) -> Option.map (fun f -> (keys.(i), f)) f)
+  |> List.of_seq
+  |> Rcache.store_all t.fragments
+
 (* Framing and validation are {!Stitch}'s (shared with the parallel IR
    builder); this path runs them serially over the chunk array with one
    reusable scratch. *)
@@ -215,10 +232,8 @@ let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys
   | resolved ->
       let agg = Stitch.assemble ~infer binary scan (Array.map fst resolved) in
       let ir = Ir_construction.build_from_aggregate ~pin_config binary agg in
-      Array.iteri
-        (fun i (f, rebuilt) ->
-          if rebuilt then Rcache.store t.fragments ~key:chunk_keys.(i) f)
-        resolved;
+      store_fragments t chunk_keys
+        (Array.map (fun (f, rebuilt) -> if rebuilt then Some f else None) resolved);
       Rcache.store t.memo ~key:memo_key
         (Ir_construction.snapshot ir, Array.length scan.Chunker.chunks);
       Some ir
@@ -319,21 +334,17 @@ let gate_chunk (agg : Agg.t) (c : Chunker.chunk) =
   done;
   if !ok then Some { boundaries = Array.of_list (List.rev !acc) } else None
 
-let harvest t (o : outcome) (ir : Ir_construction.t) =
-  let agg = ir.Ir_construction.aggregate in
+let harvest ?snapshot t (o : outcome) (ir : Ir_construction.t) =
   let scan, chunk_keys = Lazy.force o.keys.scan_keys in
-  Array.iteri
-    (fun i c ->
-      match gate_chunk agg c with
-      | Some f -> Rcache.store t.fragments ~key:chunk_keys.(i) f
-      | None -> ())
-    scan.Chunker.chunks;
-  Rcache.store t.memo ~key:o.keys.memo_key
-    (Ir_construction.snapshot ir, Array.length scan.Chunker.chunks)
+  store_fragments t chunk_keys
+    (Array.map (gate_chunk ir.Ir_construction.aggregate) scan.Chunker.chunks);
+  let snapshot =
+    match snapshot with Some s -> s | None -> Ir_construction.snapshot ir
+  in
+  Rcache.store t.memo ~key:o.keys.memo_key (snapshot, Array.length scan.Chunker.chunks)
 
 (* ---------- introspection ---------- *)
 
 let fragment_entries t = Rcache.mem_entries t.fragments
 let fragment_bytes t = Rcache.resident_bytes t.fragments
-let fragment_evictions t = Rcache.evictions t.fragments
 let memo_entries t = Rcache.mem_entries t.memo

@@ -25,17 +25,21 @@
 type t
 
 val create :
-  ?fragment_capacity:int ->
   ?fragment_bytes:int ->
   ?memo_capacity:int ->
-  ?memo_bytes:int ->
   ?dir:string ->
+  ?max_disk_entries:int ->
+  ?max_disk_bytes:int ->
   unit ->
   t
-(** Defaults: 65536 fragment entries / 64 memo entries, no byte budgets,
-    no disk layer.  [memo_bytes] bounds the memo's payload bytes.  [dir] persists fragments on disk (atomic framed
-    writes; corruption reads back as a miss).  Safe to share across
-    domains. *)
+(** Two {!Irdb.Rcache} instances: up to 65536 fragments, [fragment_bytes]
+    bounding their resident bytes (no budget by default), and a memory-only
+    memo of [memo_capacity] snapshots (default 64).  [dir] persists
+    fragments as [<key>.zirr] files (atomic framed writes; corruption reads
+    back as a miss).  It may be the snapshot cache's directory:
+    [max_disk_entries] / [max_disk_bytes] then bound both stores' files
+    together, as {!Irdb.Cache.create}'s do (see {!Irdb.Rcache.disk}).
+    Safe to share across domains. *)
 
 type key_set
 (** Precomputed key material for one binary (chunking, per-chunk keys,
@@ -61,15 +65,17 @@ val obtain :
     refiner never cross-pollinate — and a stitched aggregate recomputes
     the refiner's pin hints over its validated boundaries. *)
 
-val harvest : t -> outcome -> Ir_construction.t -> unit
+val harvest : ?snapshot:string -> t -> outcome -> Ir_construction.t -> unit
 (** Publish a cold (or snapshot-restored) build's results: fragments for
     every chunk the disassembly aggregation was conclusive about, plus
     the whole-binary memo.  Must be called on the pristine IR, before
-    transforms mutate it (the memo stores its snapshot). *)
+    transforms mutate it (the memo stores its snapshot).  [snapshot] is
+    that IR's {!Ir_construction.snapshot} when the caller already holds
+    it — the payload the snapshot cache just stored or restored — so the
+    memo shares the string instead of encoding the IR again. *)
 
 (* Introspection, for stats surfaces and tests. *)
 
 val fragment_entries : t -> int
 val fragment_bytes : t -> int
-val fragment_evictions : t -> int
 val memo_entries : t -> int

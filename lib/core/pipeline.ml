@@ -98,7 +98,8 @@ let ir_cache_key ~pin_config ~infer binary =
    chunked construction ({!Par_ir}); when its stitch validation
    declines, the serial cold build runs instead and the fallback is
    counted — outputs are byte-identical on both paths, so the snapshot
-   cache key does not depend on [ir_jobs]. *)
+   cache key does not depend on [ir_jobs].  With a cache, the payload
+   stored or restored comes back too, for the delta memo to share. *)
 let obtain_snapshot_ir ?ir_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config binary =
   let par_builds = ref 0 and par_fallbacks = ref 0 in
   let build_ir () =
@@ -123,14 +124,15 @@ let obtain_snapshot_ir ?ir_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config bin
   match ir_cache with
   | None ->
       let ir, t = build ~source:"build" () in
-      (ir, t, par_stats zero_cache_stats)
+      (ir, t, par_stats zero_cache_stats, None)
   | Some cache -> (
       let key = ir_cache_key ~pin_config ~infer binary in
       let build_and_store () =
         let ir, t = build ~source:"build" () in
-        Irdb.Cache.store cache ~key (Ir_construction.snapshot ir);
+        let payload = Ir_construction.snapshot ir in
+        Irdb.Cache.store cache ~key payload;
         Obs.count "pipeline.ir_cache_misses" 1;
-        (ir, t, par_stats { zero_cache_stats with ir_cache_misses = 1 })
+        (ir, t, par_stats { zero_cache_stats with ir_cache_misses = 1 }, Some payload)
       in
       match Irdb.Cache.find cache key with
       | None -> build_and_store ()
@@ -142,17 +144,22 @@ let obtain_snapshot_ir ?ir_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config bin
           with
           | Ok ir, t ->
               Obs.count "pipeline.ir_cache_hits" 1;
-              (ir, t, { zero_cache_stats with ir_cache_hits = 1 })
+              (ir, t, { zero_cache_stats with ir_cache_hits = 1 }, Some payload)
           | Error _, _ -> build_and_store ()))
 
 (* Full IR acquisition.  With a routine cache, the delta path goes first
    (memo hit, or a routine-granular stitch when enough fragments hit and
    the composition validates); when it declines, the snapshot cache and
    cold build take over as before, and the result is harvested back into
-   the routine cache — before any transform can touch it. *)
+   the routine cache — before any transform can touch it — sharing the
+   snapshot cache's payload, so a cold miss snapshots the IR once. *)
 let obtain_ir ?ir_cache ?routine_cache ?ir_jobs ?(infer = false) ~pin_config binary =
   match routine_cache with
-  | None -> obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
+  | None ->
+      let ir, t, stats, _ =
+        obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
+      in
+      (ir, t, stats)
   | Some dc -> (
       let outcome, t0 =
         timed (fun () ->
@@ -170,10 +177,10 @@ let obtain_ir ?ir_cache ?routine_cache ?ir_jobs ?(infer = false) ~pin_config bin
       match outcome.Delta.ir with
       | Some ir -> (ir, t0, dstats)
       | None ->
-          let ir, t1, cstats =
+          let ir, t1, cstats, snapshot =
             obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
           in
-          Delta.harvest dc outcome ir;
+          Delta.harvest ?snapshot dc outcome ir;
           (ir, t0 +. t1, add_cache_stats dstats cstats))
 
 (* Per-transform spans want a computed name ("transform:cfi"); build the

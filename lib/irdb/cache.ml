@@ -1,233 +1,26 @@
-let version = "ZIRCACHE1"
+(* The snapshot cache: {!Rcache}'s string instance, with its counter
+   prefix, weight and on-disk format fixed. *)
 
-type t = {
-  capacity : int;
-  max_bytes : int option;
-  dir : string option;
-  max_disk_entries : int option;
-  max_disk_bytes : int option;
-  lock : Mutex.t;
-  entries : (string, string) Hashtbl.t;
-  last_use : (string, int) Hashtbl.t;
-  mutable tick : int;
-  mutable resident : int;  (* sum of entry_bytes over [entries] *)
-  mutable evicted : int;
-  mutable oversize : int;
-  mutable disk_evicted : int;
-}
+type t = string Rcache.t
+
+let codec =
+  { Rcache.magic = "ZIRCACHE1"; ext = ".zirc"; encode = Fun.id; decode = Option.some }
 
 let create ?(capacity = 64) ?max_bytes ?dir ?max_disk_entries ?max_disk_bytes () =
-  (match dir with
-  | Some d -> ( try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | None -> ());
-  {
-    capacity = max 1 capacity;
-    max_bytes = Option.map (max 1) max_bytes;
-    dir;
-    max_disk_entries = Option.map (max 1) max_disk_entries;
-    max_disk_bytes = Option.map (max 1) max_disk_bytes;
-    lock = Mutex.create ();
-    entries = Hashtbl.create 64;
-    last_use = Hashtbl.create 64;
-    tick = 0;
-    resident = 0;
-    evicted = 0;
-    oversize = 0;
-    disk_evicted = 0;
-  }
-
-let dir t = t.dir
-
-(* Length-prefix every part so ["ab"; "c"] and ["a"; "bc"] hash apart. *)
-let key parts =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int (String.length p));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf p)
-    parts;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let touch t k =
-  t.tick <- t.tick + 1;
-  Hashtbl.replace t.last_use k t.tick
-
-(* What an entry charges against the byte budget: its key and payload,
-   the two strings the memory layer actually retains. *)
-let entry_bytes k payload = String.length k + String.length payload
-
-let evict_one t =
-  let age k = Option.value (Hashtbl.find_opt t.last_use k) ~default:0 in
-  let victim =
-    Hashtbl.fold
-      (fun k _ acc -> match acc with Some k' when age k' <= age k -> acc | _ -> Some k)
-      t.entries None
+  let disk =
+    Option.map
+      (fun dir ->
+        ( { Rcache.dir; max_entries = max_disk_entries; max_bytes = max_disk_bytes },
+          codec ))
+      dir
   in
-  match victim with
-  | Some k ->
-      (match Hashtbl.find_opt t.entries k with
-      | Some payload -> t.resident <- t.resident - entry_bytes k payload
-      | None -> ());
-      Hashtbl.remove t.entries k;
-      Hashtbl.remove t.last_use k;
-      t.evicted <- t.evicted + 1;
-      Obs.count "irdb.cache.evictions" 1
-  | None ->
-      Hashtbl.reset t.entries;
-      t.resident <- 0
+  Rcache.create ~capacity ?max_bytes ?disk ~name:"irdb.cache" ~weigh:String.length ()
 
-(* Insert under both bounds: at most [capacity] entries, and — when a
-   byte budget is set — at most [max_bytes] resident bytes.  Eviction is
-   strictly least-recently-used for both triggers.  A payload that alone
-   exceeds the budget is not admitted at all (evicting the whole cache
-   for one entry that still would not fit buys nothing). *)
-let insert t k payload =
-  (match Hashtbl.find_opt t.entries k with
-  | Some old ->
-      t.resident <- t.resident - entry_bytes k old;
-      Hashtbl.remove t.entries k;
-      Hashtbl.remove t.last_use k
-  | None -> ());
-  let sz = entry_bytes k payload in
-  match t.max_bytes with
-  | Some budget when sz > budget ->
-      t.oversize <- t.oversize + 1;
-      Obs.count "irdb.cache.oversize_skips" 1
-  | _ ->
-      let over_budget () =
-        match t.max_bytes with Some budget -> t.resident + sz > budget | None -> false
-      in
-      while
-        Hashtbl.length t.entries > 0
-        && (Hashtbl.length t.entries >= t.capacity || over_budget ())
-      do
-        evict_one t
-      done;
-      Hashtbl.replace t.entries k payload;
-      t.resident <- t.resident + sz;
-      touch t k;
-      Obs.gauge_max "irdb.cache.resident_bytes" t.resident
-
-(* -- disk layer -- *)
-
-let frame k payload = version ^ " " ^ k ^ "\n" ^ payload
-
-(* The key is embedded in the file so a renamed, truncated or corrupted
-   entry reads as a miss, never as a wrong payload. *)
-let unframe k s =
-  let header = version ^ " " ^ k ^ "\n" in
-  let hl = String.length header in
-  if String.length s >= hl && String.sub s 0 hl = header then
-    Some (String.sub s hl (String.length s - hl))
-  else None
-
-let entry_path d k = Filename.concat d (k ^ ".zirc")
-
-let read_file p =
-  match open_in_bin p with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try Some (really_input_string ic (in_channel_length ic))
-          with Sys_error _ | End_of_file -> None)
-
-let disk_find t k =
-  match t.dir with
-  | None -> None
-  | Some d -> Option.bind (read_file (entry_path d k)) (unframe k)
-
-(* Bound the directory after a write.  The scan is O(entries) per store,
-   which is fine at cache scale, and — unlike an in-memory shadow count —
-   stays correct when several processes share the directory.  Oldest
-   mtime goes first: a coarse LRU (reads do not touch files), but
-   eviction order only affects future hit rates, never correctness. *)
-let prune_disk t d =
-  match (t.max_disk_entries, t.max_disk_bytes) with
-  | None, None -> ()
-  | _ -> (
-      try
-        let files =
-          Sys.readdir d |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".zirc")
-          |> List.filter_map (fun f ->
-                 let p = Filename.concat d f in
-                 match Unix.stat p with
-                 | { Unix.st_mtime; st_size; _ } -> Some (st_mtime, st_size, p)
-                 | exception Unix.Unix_error _ -> None)
-          |> List.sort compare
-        in
-        let count = ref (List.length files) in
-        let bytes = ref (List.fold_left (fun a (_, sz, _) -> a + sz) 0 files) in
-        let over () =
-          (match t.max_disk_entries with Some n -> !count > n | None -> false)
-          || match t.max_disk_bytes with Some b -> !bytes > b | None -> false
-        in
-        List.iter
-          (fun (_, sz, p) ->
-            if over () then begin
-              (try Sys.remove p with Sys_error _ -> ());
-              decr count;
-              bytes := !bytes - sz;
-              t.disk_evicted <- t.disk_evicted + 1;
-              Obs.count "irdb.cache.disk_evictions" 1
-            end)
-          files
-      with Sys_error _ -> ())
-
-let disk_store t k payload =
-  match t.dir with
-  | None -> ()
-  | Some d -> (
-      (* Write-to-temp + rename keeps concurrent readers (and workers on
-         other domains writing the same key) from ever observing a partial
-         entry; the domain id keeps temp names from colliding. *)
-      let tmp =
-        Filename.concat d (Printf.sprintf ".tmp.%s.%d" k (Domain.self () :> int))
-      in
-      try
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (frame k payload));
-        Sys.rename tmp (entry_path d k);
-        prune_disk t d
-      with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
-
-(* -- lookup / store -- *)
-
-let find t k =
-  Obs.count "irdb.cache.lookups" 1;
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.entries k with
-      | Some payload ->
-          touch t k;
-          Obs.count "irdb.cache.mem_hits" 1;
-          Some payload
-      | None -> (
-          match disk_find t k with
-          | Some payload ->
-              insert t k payload;
-              Obs.count "irdb.cache.disk_hits" 1;
-              Some payload
-          | None ->
-              Obs.count "irdb.cache.misses" 1;
-              None))
-
-let store t ~key:k payload =
-  Obs.count "irdb.cache.stores" 1;
-  with_lock t (fun () ->
-      insert t k payload;
-      disk_store t k payload)
-
-let mem_entries t = with_lock t (fun () -> Hashtbl.length t.entries)
-let resident_bytes t = with_lock t (fun () -> t.resident)
-let evictions t = with_lock t (fun () -> t.evicted)
-let oversize_skips t = with_lock t (fun () -> t.oversize)
-let disk_evictions t = with_lock t (fun () -> t.disk_evicted)
+let key = Rcache.key
+let find = Rcache.find
+let store = Rcache.store
+let mem_entries = Rcache.mem_entries
+let resident_bytes = Rcache.resident_bytes
+let evictions = Rcache.evictions
+let oversize_skips = Rcache.oversize_skips
+let disk_evictions = Rcache.disk_evictions

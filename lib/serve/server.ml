@@ -154,15 +154,16 @@ let create ?(config = default_config) ~resolve_transform addr =
         ?max_disk_bytes:config.cache_disk_bytes ();
     routine_cache =
       (if config.delta then
-         (* The fragment store shares the snapshot cache's disk directory
-            (entries use a distinct extension) and inherits its byte
-            budget; the memo holds IR snapshots and is entry-bounded like
-            the snapshot LRU. *)
+         (* The fragment store shares the snapshot cache's directory and
+            disk bound (one prune counts both stores' files) and inherits
+            its byte budget; the memo holds IR snapshots and is
+            entry-bounded like the snapshot LRU. *)
          Some
            (Zipr.Delta.create
               ~fragment_bytes:(max 1 config.cache_max_bytes)
               ~memo_capacity:(max 1 config.cache_entries)
-              ?dir:config.cache_dir ())
+              ?dir:config.cache_dir ?max_disk_entries:config.cache_disk_entries
+              ?max_disk_bytes:config.cache_disk_bytes ())
        else None);
     stop_flag = Atomic.make false;
     c =

@@ -16,7 +16,10 @@
     The IR cache ({!cache}) is shared by all requests across all worker
     domains: concurrent clients rewriting the same input pay for IR
     construction once, bounded by [cache_entries] entries and
-    [cache_max_bytes] resident bytes (LRU eviction). *)
+    [cache_max_bytes] resident bytes (LRU eviction).  With [delta], the
+    routine fragments are a second {!Irdb.Rcache} instance with the same
+    byte budget, and [cache_dir] holds both stores' files under one disk
+    bound. *)
 
 type config = {
   jobs : int;  (** worker domains *)
@@ -24,9 +27,12 @@ type config = {
   max_request_bytes : int;  (** reject larger request payloads with [Too_large] *)
   cache_entries : int;
   cache_max_bytes : int;
-  cache_dir : string option;  (** optional disk spill for the IR cache *)
+  cache_dir : string option;
+      (** optional disk spill for the IR cache and, with [delta], the
+          routine fragments *)
   cache_disk_entries : int option;
-      (** bound [cache_dir] to this many entry files (oldest pruned) *)
+      (** bound [cache_dir] to this many entry files of either store
+          (oldest pruned) *)
   cache_disk_bytes : int option;  (** bound [cache_dir]'s total size *)
   delta : bool;
       (** enable the shared routine-granular cache: requests are served

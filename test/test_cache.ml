@@ -366,8 +366,8 @@ let test_budget_concurrent_hammer () =
   Alcotest.(check bool) "budget holds after join" true (Cache.resident_bytes c <= budget);
   Alcotest.(check bool) "churn forced evictions" true (Cache.evictions c > 0)
 
-(* -- disk-layer bounds (serve's shared --cache-dir must not grow without
-      limit across daemon restarts) -- *)
+(* -- disk-layer bounds (serve's shared --cache directory must not grow
+      without limit across daemon restarts) -- *)
 
 let fresh_dir () =
   let f = Filename.temp_file "zipr_cache" "" in
@@ -406,6 +406,59 @@ let test_disk_byte_bound () =
     true (total <= 1024);
   Alcotest.(check bool) "pruning happened" true (Cache.disk_evictions c > 0)
 
+(* Two instances sharing one bounded directory: the prune counts both
+   instances' entry files against the one bound, and leaves every other
+   file alone. *)
+let test_disk_bound_shared () =
+  let dir = fresh_dir () in
+  let c = Cache.create ~dir ~max_disk_entries:3 () in
+  let codec =
+    { Irdb.Rcache.magic = "TEST1"; ext = ".zirt"; encode = Fun.id; decode = Option.some }
+  in
+  let other =
+    Irdb.Rcache.create
+      ~disk:({ Irdb.Rcache.dir; max_entries = Some 3; max_bytes = None }, codec)
+      ~name:"test.other" ~weigh:String.length ()
+  in
+  Out_channel.with_open_bin (Filename.concat dir "notes.txt") (fun oc ->
+      output_string oc "not an entry");
+  Cache.store c ~key:(Cache.key [ "s"; "0" ]) (pay 10);
+  Irdb.Rcache.store_all other
+    (List.init 4 (fun i -> (Cache.key [ "o"; string_of_int i ], pay 10)));
+  let entries = List.filter (( <> ) "notes.txt") (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check int) "both stores' files share the bound" 3 (List.length entries);
+  Alcotest.(check int) "the store that overflowed pruned" 2
+    (Irdb.Rcache.disk_evictions other);
+  Alcotest.(check bool) "other files untouched" true
+    (Sys.file_exists (Filename.concat dir "notes.txt"))
+
+(* The snapshot cache reports under the [irdb.cache.*] names of DESIGN
+   §10.2: a cold rewrite misses and stores, a warm one hits memory. *)
+let test_counter_names () =
+  let sink = Obs.Tracer.create () in
+  Obs.install sink;
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let cache = Cache.create () in
+      let binary = fst (Testprogs.assemble (Testprogs.fib_program ())) in
+      for _ = 1 to 2 do
+        ignore (Zipr.Pipeline.rewrite ~ir_cache:cache ~transforms binary)
+      done;
+      let counts = Obs.Counters.snapshot (Obs.Tracer.counters sink) in
+      let get n =
+        match List.find_opt (fun (n', _, _) -> n' = n) counts with
+        | Some (_, _, v) -> v
+        | None -> 0
+      in
+      List.iter
+        (fun (n, v) -> Alcotest.(check int) n v (get n))
+        [
+          ("irdb.cache.lookups", 2);
+          ("irdb.cache.misses", 1);
+          ("irdb.cache.mem_hits", 1);
+          ("irdb.cache.disk_hits", 0);
+          ("irdb.cache.stores", 1);
+        ])
+
 let suite =
   [
     Alcotest.test_case "exact IRDB codec round-trips" `Quick test_exact_dump_roundtrip;
@@ -428,6 +481,10 @@ let suite =
     Alcotest.test_case "disk layer: entry-count bound prunes oldest" `Quick
       test_disk_entry_bound;
     Alcotest.test_case "disk layer: byte bound prunes oldest" `Quick test_disk_byte_bound;
+    Alcotest.test_case "disk layer: one bound covers a shared directory" `Quick
+      test_disk_bound_shared;
+    Alcotest.test_case "obs counters keep the irdb.cache names" `Quick
+      test_counter_names;
     Alcotest.test_case "disk layer round-trips; corruption is a miss" `Quick test_disk_layer;
     Alcotest.test_case "cache key tracks version, config, input" `Quick test_key_sensitivity;
     Alcotest.test_case "pipeline counts hits/misses, outputs identical" `Quick

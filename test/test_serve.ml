@@ -421,6 +421,48 @@ let test_ir_jobs_override () =
       Alcotest.(check bool) "default output byte-identical" true
         (String.equal offline default.P.Response.payload))
 
+(* The disk bound covers the whole --cache directory: a delta daemon's
+   snapshot entries and routine fragments share it, so four versions of
+   one project leave at most [cache_disk_entries] files behind, and every
+   reply still equals the offline rewrite. *)
+let test_delta_disk_bound () =
+  let dir = Filename.temp_file "zipr_serve_cache" "" in
+  Sys.remove dir;
+  let config =
+    {
+      Server.default_config with
+      Server.delta = true;
+      cache_dir = Some dir;
+      cache_disk_entries = Some 2;
+    }
+  in
+  let versions = Workloads.Versioned.generate ~seed:3 ~versions:4 () in
+  let transforms = List.filter_map Transforms.Registry.by_name [ "cfi" ] in
+  with_server ~config (fun _ addr ->
+      List.iter
+        (fun (v : Workloads.Versioned.version) ->
+          let data = Zelf.Binary.serialize v.Workloads.Versioned.binary in
+          let offline =
+            match Zipr.Pipeline.rewrite_bytes ~transforms data with
+            | Ok out -> Bytes.to_string out
+            | Error e ->
+                Alcotest.failf "%s: offline failed: %s" v.Workloads.Versioned.name e
+          in
+          let r =
+            expect_ok v.Workloads.Versioned.name
+              (Client.rewrite ~transforms:[ "cfi" ] addr (Bytes.to_string data))
+          in
+          Alcotest.(check bool)
+            (v.Workloads.Versioned.name ^ ": served output byte-identical")
+            true
+            (String.equal offline r.P.Response.payload))
+        versions);
+  let files = Sys.readdir dir in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 entry files (%d)" (Array.length files))
+    true
+    (Array.length files <= 2)
+
 let test_ping_echoes () =
   with_server (fun _ addr ->
       let r = expect_ok "ping" (Client.ping ~payload:"\x00abc\xff" addr) in
@@ -555,6 +597,8 @@ let suite =
     Alcotest.test_case "concurrent clients share one IR cache" `Quick test_shared_cache_hits;
     Alcotest.test_case "per-request ir-jobs override round-trips" `Quick
       test_ir_jobs_override;
+    Alcotest.test_case "delta daemon keeps its cache directory in bounds" `Quick
+      test_delta_disk_bound;
     Alcotest.test_case "ping echoes its payload" `Quick test_ping_echoes;
     Alcotest.test_case "bad requests answered, not dropped" `Quick test_server_rejects_nonsense;
     Alcotest.test_case "oversized requests answered with too_large" `Quick test_server_too_large;
