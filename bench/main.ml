@@ -203,17 +203,6 @@ let ir_jobs = ref 1
 let clients = ref 4
 let trace_mode = ref false
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Host facts embedded in every BENCH_*.json: timing figures are only
    comparable between runs on a known substrate, so each report records
    the core count, compiler and corpus size it was measured with. *)
@@ -221,7 +210,7 @@ let host_json ~corpus_size =
   Printf.sprintf
     "\"host\": { \"cores\": %d, \"ocaml_version\": \"%s\", \"corpus_size\": %d }"
     (Domain.recommended_domain_count ())
-    (json_escape Sys.ocaml_version)
+    (Obs.Tracer.json_escape Sys.ocaml_version)
     corpus_size
 
 (* Distribution summary (nearest-rank percentiles) — the migrated
@@ -429,7 +418,7 @@ let throughput () =
       (fun i (name, text_bytes, (t : Zipr.Pipeline.timing), (s : Zipr.Reassemble.stats)) ->
         field "%s\n    { \"name\": \"%s\", \"text_bytes\": %d,\n"
           (if i = 0 then "" else ",")
-          (json_escape name) text_bytes;
+          (Obs.Tracer.json_escape name) text_bytes;
         field "      \"ir_construction_s\": %.6f, \"transformation_s\": %.6f, \"reassembly_s\": %.6f,\n"
           t.Zipr.Pipeline.ir_construction_s t.Zipr.Pipeline.transformation_s
           t.Zipr.Pipeline.reassembly_s;
@@ -446,7 +435,9 @@ let throughput () =
       n_items;
     field "  \"corpus_generated\": %d,\n  \"corpus_excluded\": [%s],\n" n_generated
       (String.concat ", "
-         (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) excluded_names));
+         (List.map
+            (fun n -> Printf.sprintf "\"%s\"" (Obs.Tracer.json_escape n))
+            excluded_names));
     field "  \"elapsed_ms\": %s,\n  \"queue_wait_ms\": %s,\n" (dist_json elapsed_ms)
       (dist_json queue_wait_ms);
     field "  %s,\n" (host_json ~corpus_size:n_generated);
@@ -761,7 +752,7 @@ let serve_bench () =
     {
       Serve.Server.default_config with
       Serve.Server.jobs = Zipr.Pipeline.resolve_jobs !jobs;
-      ir_jobs = !ir_jobs;
+      defaults = { Zipr.Options.default with ir_jobs = Some !ir_jobs };
       queue_bound = max 4 (2 * !clients);
       delta = true;
     }
@@ -798,7 +789,7 @@ let serve_bench () =
      state; the misses recorded below are these first touches. *)
   Array.iter
     (fun data ->
-      match Serve.Client.rewrite ~transforms:[ "null" ] addr data with
+      match Serve.Client.rewrite ~options:Zipr.Options.default addr data with
       | Ok { Serve.Protocol.Response.status = Serve.Protocol.Ok_; _ } -> ()
       | Ok r ->
           failwith
@@ -816,7 +807,7 @@ let serve_bench () =
       (match
          Serve.Client.rewrite
            ~id:(Int64.of_int ((c * 1_000_000) + i))
-           ~transforms:[ "null" ] addr data
+           ~options:Zipr.Options.default addr data
        with
       | Ok { Serve.Protocol.Response.status = Serve.Protocol.Ok_; _ } ->
           incr ok;
@@ -896,7 +887,7 @@ let serve_bench () =
     \  \"queue_high_water\": %d\n\
      }\n"
     !clients config.Serve.Server.jobs
-    (Zipr.Pipeline.resolve_jobs config.Serve.Server.ir_jobs)
+    (Zipr.Pipeline.resolve_jobs !ir_jobs)
     corpus_generated (Array.length inputs)
     (host_json ~corpus_size:(Array.length inputs))
     total ok rejects errors wall
@@ -1374,7 +1365,7 @@ let irpar_bench () =
             Printf.sprintf
               "\n    { \"name\": \"%s\", \"text_bytes\": %d, \"serial_ir_s\": %.6f, \
                \"par_ir_s\": %.6f }"
-              (json_escape name) text_bytes ir1 ir4)
+              (Obs.Tracer.json_escape name) text_bytes ir1 ir4)
           rows))
     !serial_ir !par_ir speedup !identical !par_builds !par_fallbacks;
   close_out oc;
@@ -1508,7 +1499,7 @@ let infer_bench () =
               "\n    { \"name\": \"%s\", \"ambiguous_before\": %d, \"ambiguous_after\": \
                %d, \"reduction_pct\": %.2f, \"closed\": %b, \"overhead_off_pct\": %.3f, \
                \"overhead_on_pct\": %.3f, \"fuzz_total\": %d, \"fuzz_divergences\": %d }"
-              (json_escape name) ab ai red closed ovoff ovon total div)
+              (Obs.Tracer.json_escape name) ab ai red closed ovoff ovon total div)
           rows))
     !libc_reduction !divergences !identity_off;
   close_out oc;

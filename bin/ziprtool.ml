@@ -67,7 +67,6 @@ let load_binary path =
   | Error e -> Error (Format.asprintf "%s: %a" path Zelf.Binary.pp_parse_error e)
 
 let transform_of_name = Transforms.Registry.by_name
-let transform_names = Transforms.Registry.names
 
 (* -- common args -- *)
 
@@ -75,79 +74,21 @@ let input_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT")
 
 let output_file ~pos:p = Arg.(required & pos p (some string) None & info [] ~docv:"OUTPUT")
 
-(* -- placement args --
+(* -- rewrite knobs --
 
-   Shared by rewrite/batch/serve/client: the strategy name plus the
-   search knobs.  Names are validated through [Placement.resolve] rather
-   than a cmdliner enum so the error message always lists the live
-   strategy set and knob diagnostics read the same on every surface. *)
+   One term builds the {!Zipr.Options.t} for rewrite, batch and client;
+   serve takes [daemon_knobs], the part a daemon holds as defaults for
+   requests that leave a knob unset.  Unset optional flags stay unset in
+   the record, so a client encodes only what its user typed.  Placement
+   names are checked by [Zipr.Options.resolve], not a cmdliner enum, so
+   the message lists the live strategy set on every surface. *)
 
-let placement_name_arg =
-  Arg.(
-    value
-    & opt string "optimized"
-    & info [ "placement" ] ~docv:"NAME"
-        ~doc:
-          (Printf.sprintf "Dollop placement strategy: %s."
-             (String.concat ", " Zipr.Placement.names)))
-
-let placement_budget_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "placement-budget" ] ~docv:"N"
-        ~doc:
-          "Candidates the search strategy evaluates per decision (enumeration \
-           width / annealing proposals). Only meaningful with --placement search.")
-
-let placement_epsilon_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "placement-epsilon" ] ~docv:"P"
-        ~doc:
-          "Probability in [0,1] that the search strategy diversifies uniformly \
-           over its beam instead of taking the cheapest candidate — the \
-           layout-diversity vs. overhead dial. Only meaningful with --placement \
-           search.")
-
-let placement_weights_arg =
-  Arg.(
-    value
-    & opt string ""
-    & info [ "placement-weights" ] ~docv:"SPEC"
-        ~doc:
-          "Cost-model weights for the search strategy as comma-separated \
-           key=value pairs, e.g. sled=1,chain=16,relax=3,overflow=1,page=64. \
-           Omitted keys keep their defaults.")
-
-(* [Error] already carries a printable message; callers print and exit 1. *)
-let resolve_placement name budget epsilon weights_spec =
-  Zipr.Placement.resolve ?budget ?epsilon ~weights_spec name
-
-(* Shared by rewrite/batch/serve: intra-binary IR construction workers.
-   Output bytes are identical at any value, so this is purely a
-   throughput knob. *)
-let ir_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "ir-jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for intra-binary IR construction: the text is chunked, \
-           chunks are framed in parallel and the merge is accepted only after \
-           stitch validation (disagreement falls back to the serial build). \
-           0 auto-detects the core count. Output bytes are identical at any \
-           value.")
-
-(* Shared by rewrite/batch/serve/fuzz: the inference-refiner switch.
-   Off by default — with it off every output is byte-identical to
-   previous releases. *)
 let infer_arg =
   Arg.(
     value
-    & vflag false
+    & vflag None
         [
-          ( true,
+          ( Some true,
             info [ "infer" ]
               ~doc:
                 "Run the inference-based third disassembly source: a fact-propagation \
@@ -155,11 +96,102 @@ let infer_arg =
                  by constant folding and proves dead bytes unreachable, shrinking the \
                  pinned ambiguous ranges. Refinement-only: bytes the primary \
                  disassemblers agree on are never overturned. Off by default \
-                 (byte-identical output to previous releases)." );
-          ( false,
-            info [ "no-infer" ]
-              ~doc:"Disable the inference refiner explicitly (the default)." );
+                 (byte-identical output to previous releases); a client that gives \
+                 neither flag gets the daemon's default." );
+          ( Some false,
+            info [ "no-infer" ] ~doc:"Disable the inference refiner explicitly." );
         ])
+
+let daemon_knobs =
+  let budget =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "placement-budget" ] ~docv:"N"
+          ~doc:
+            "Candidates the search strategy evaluates per decision (enumeration \
+             width / annealing proposals). Only meaningful with --placement search.")
+  in
+  let epsilon =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "placement-epsilon" ] ~docv:"P"
+          ~doc:
+            "Probability in [0,1] that the search strategy diversifies uniformly \
+             over its beam instead of taking the cheapest candidate — the \
+             layout-diversity vs. overhead dial. Only meaningful with --placement \
+             search.")
+  in
+  let weights =
+    Arg.(
+      value
+      & opt string ""
+      & info [ "placement-weights" ] ~docv:"SPEC"
+          ~doc:
+            "Cost-model weights for the search strategy as comma-separated \
+             key=value pairs, e.g. sled=1,chain=16,relax=3,overflow=1,page=64. \
+             Omitted keys keep their defaults.")
+  in
+  let ir_jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "ir-jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains for intra-binary IR construction (default 1): the text is \
+             chunked, chunks are framed in parallel and the merge is accepted only \
+             after stitch validation (disagreement falls back to the serial build). \
+             0 auto-detects the core count. A served request resolves it on the \
+             server and echoes the result in det.ir_jobs. Output bytes are identical \
+             at any value.")
+  in
+  let make placement_budget placement_epsilon placement_weights ir_jobs infer =
+    {
+      Zipr.Options.default with
+      placement_budget;
+      placement_epsilon;
+      placement_weights;
+      ir_jobs;
+      infer;
+    }
+  in
+  Term.(const make $ budget $ epsilon $ weights $ ir_jobs $ infer_arg)
+
+let knobs =
+  let transforms =
+    Arg.(
+      value
+      & opt (list string) [ "null" ]
+      & info [ "t"; "transform" ] ~docv:"NAMES"
+          ~doc:
+            (Printf.sprintf "Comma-separated transforms, applied in order. Available: %s."
+               (String.concat ", " Transforms.Registry.names)))
+  in
+  let placement =
+    Arg.(
+      value
+      & opt string "optimized"
+      & info [ "placement" ] ~docv:"NAME"
+          ~doc:
+            (Printf.sprintf "Dollop placement strategy: %s."
+               (String.concat ", " Zipr.Placement.names)))
+  in
+  let seed =
+    Arg.(
+      value & opt int 1
+      & info [ "seed" ] ~docv:"S"
+          ~doc:
+            "Layout seed (random placement). $(b,batch) derives each binary's seed from \
+             (seed, index), so its outputs do not depend on $(b,--jobs).")
+  in
+  let make transforms placement seed o =
+    { o with Zipr.Options.transforms; placement; seed }
+  in
+  Term.(const make $ transforms $ placement $ seed $ daemon_knobs)
+
+(* [Error] already carries a printable message. *)
+let resolve_knobs = Zipr.Options.resolve ~resolve_transform:transform_of_name
 
 (* -- asm -- *)
 
@@ -211,16 +243,6 @@ let gen_cmd =
 (* -- rewrite -- *)
 
 let rewrite_cmd =
-  let transforms =
-    Arg.(
-      value
-      & opt (list string) [ "null" ]
-      & info [ "t"; "transform" ] ~docv:"NAMES"
-          ~doc:
-            (Printf.sprintf "Comma-separated transforms, applied in order. Available: %s."
-               (String.concat ", " transform_names)))
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Layout seed (random placement).") in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print reassembly statistics.") in
   let verify =
     Arg.(value & flag & info [ "verify" ] ~doc:"Run the structural post-rewrite verifier.")
@@ -235,77 +257,51 @@ let rewrite_cmd =
              loadable in chrome://tracing. The rewritten output is byte-identical with \
              or without tracing.")
   in
-  let run tnames placement budget epsilon weights ir_jobs infer seed stats verify trace inp out =
+  let run knobs stats verify trace inp out =
     with_trace_file trace @@ fun () ->
-    match resolve_placement placement budget epsilon weights with
-    | Error msg ->
+    match (resolve_knobs knobs, load_binary inp) with
+    | Error msg, _ | _, Error msg ->
         Printf.eprintf "error: %s\n" msg;
         1
-    | Ok strategy -> (
-    match load_binary inp with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Ok binary -> (
-        let unknown = List.filter (fun n -> transform_of_name n = None) tnames in
-        if unknown <> [] then begin
-          Printf.eprintf "error: unknown transforms: %s\n" (String.concat ", " unknown);
-          1
-        end
-        else
-          let transforms = List.filter_map transform_of_name tnames in
-          let config =
-            {
-              Zipr.Pipeline.default_config with
-              Zipr.Pipeline.placement = strategy;
-              seed;
-              ir_jobs;
-              infer;
-            }
-          in
-          match Zipr.Pipeline.rewrite ~config ~transforms binary with
-          | r ->
-              write_file out (Zelf.Binary.serialize r.Zipr.Pipeline.rewritten);
-              let osize = Zelf.Binary.file_size binary in
-              let nsize = Zelf.Binary.file_size r.Zipr.Pipeline.rewritten in
-              Printf.printf "%s: %d -> %d bytes (%+.1f%%)\n" out osize nsize
-                (float_of_int (nsize - osize) /. float_of_int osize *. 100.0);
-              if stats then begin
-                Format.printf "%a@." Zipr.Reassemble.pp_stats r.Zipr.Pipeline.stats;
-                Printf.printf "ir-jobs: %d resolved, %d parallel builds, %d fallbacks\n"
-                  (Zipr.Pipeline.resolve_jobs ir_jobs)
-                  r.Zipr.Pipeline.cache.Zipr.Pipeline.par_builds
-                  r.Zipr.Pipeline.cache.Zipr.Pipeline.par_fallbacks;
-                (* Aggregator per-case byte accounting (one line per
-                   canonical tally field). *)
-                List.iter
-                  (fun (k, v) -> Printf.printf "agg.%s: %d\n" k v)
-                  (Disasm.Aggregate.tally_fields
-                     r.Zipr.Pipeline.ir.Zipr.Ir_construction.aggregate
-                       .Disasm.Aggregate.tally)
-              end;
+    | Ok (config, transforms), Ok binary -> (
+        match Zipr.Pipeline.rewrite ~config ~transforms binary with
+        | r ->
+            write_file out (Zelf.Binary.serialize r.Zipr.Pipeline.rewritten);
+            let osize = Zelf.Binary.file_size binary in
+            let nsize = Zelf.Binary.file_size r.Zipr.Pipeline.rewritten in
+            Printf.printf "%s: %d -> %d bytes (%+.1f%%)\n" out osize nsize
+              (float_of_int (nsize - osize) /. float_of_int osize *. 100.0);
+            if stats then begin
+              Format.printf "%a@." Zipr.Reassemble.pp_stats r.Zipr.Pipeline.stats;
+              Printf.printf "ir-jobs: %d resolved, %d parallel builds, %d fallbacks\n"
+                config.Zipr.Pipeline.ir_jobs r.Zipr.Pipeline.cache.Zipr.Pipeline.par_builds
+                r.Zipr.Pipeline.cache.Zipr.Pipeline.par_fallbacks;
+              (* Aggregator per-case byte accounting (one line per
+                 canonical tally field). *)
               List.iter
-                (fun w -> Printf.printf "warning: %s\n" w)
-                r.Zipr.Pipeline.ir.Zipr.Ir_construction.warnings;
-              if verify then begin
-                let report =
-                  Zipr.Verify.structural ~orig:binary ~ir:r.Zipr.Pipeline.ir
-                    ~rewritten:r.Zipr.Pipeline.rewritten
-                in
-                Format.printf "%a@." Zipr.Verify.pp_report report;
-                if Zipr.Verify.ok report then 0 else 1
-              end
-              else 0
-          | exception Zipr.Reassemble.Failure_ msg ->
-              Printf.eprintf "reassembly failed: %s\n" msg;
-              1))
+                (fun (k, v) -> Printf.printf "agg.%s: %d\n" k v)
+                (Disasm.Aggregate.tally_fields
+                   r.Zipr.Pipeline.ir.Zipr.Ir_construction.aggregate.Disasm.Aggregate.tally)
+            end;
+            List.iter
+              (fun w -> Printf.printf "warning: %s\n" w)
+              r.Zipr.Pipeline.ir.Zipr.Ir_construction.warnings;
+            if verify then begin
+              let report =
+                Zipr.Verify.structural ~orig:binary ~ir:r.Zipr.Pipeline.ir
+                  ~rewritten:r.Zipr.Pipeline.rewritten
+              in
+              Format.printf "%a@." Zipr.Verify.pp_report report;
+              if Zipr.Verify.ok report then 0 else 1
+            end
+            else 0
+        | exception Zipr.Reassemble.Failure_ msg ->
+            Printf.eprintf "reassembly failed: %s\n" msg;
+            1)
   in
   Cmd.v
     (Cmd.info "rewrite" ~doc:"Rewrite a binary through the Zipr pipeline.")
-    Term.(
-      const run $ transforms $ placement_name_arg $ placement_budget_arg
-      $ placement_epsilon_arg $ placement_weights_arg $ ir_jobs_arg $ infer_arg $ seed
-      $ stats $ verify $ trace $ input_file $ output_file ~pos:1)
+    Term.(const run $ knobs $ stats $ verify $ trace $ input_file $ output_file ~pos:1)
 
 (* -- run -- *)
 
@@ -500,7 +496,7 @@ let fuzz_cmd =
         structural;
         fault = (if inject then Some Fuzz.Driver.Skip_pin else None);
         jobs = max 1 jobs;
-        infer;
+        infer = Option.value infer ~default:Fuzz.Driver.default_options.Fuzz.Driver.infer;
       }
     in
     let log = if quiet then fun _ -> () else fun msg -> Printf.eprintf "%s\n%!" msg in
@@ -535,23 +531,6 @@ let fuzz_cmd =
 let batch_cmd =
   let indir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"INDIR") in
   let outdir = Arg.(required & pos 1 (some string) None & info [] ~docv:"OUTDIR") in
-  let transforms =
-    Arg.(
-      value
-      & opt (list string) [ "null" ]
-      & info [ "t"; "transform" ] ~docv:"NAMES"
-          ~doc:
-            (Printf.sprintf "Comma-separated transforms, applied in order. Available: %s."
-               (String.concat ", " transform_names)))
-  in
-  let corpus_seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:
-            "Corpus seed. Each binary's layout seed derives from (seed, index); outputs \
-             do not depend on $(b,--jobs).")
-  in
   let batch_jobs =
     Arg.(
       value & opt int 1
@@ -613,20 +592,13 @@ let batch_cmd =
              trace_event) and DIR/report.json (aggregated per-phase totals). Outputs are \
              byte-identical with or without tracing, at any $(b,--jobs).")
   in
-  let run tnames placement budget epsilon weights ir_jobs infer corpus_seed jobs ext
-      cache_dir delta disk_entries disk_bytes trace indir outdir =
+  let run knobs jobs ext cache_dir delta disk_entries disk_bytes trace indir outdir =
     with_trace_dir trace @@ fun () ->
-    match resolve_placement placement budget epsilon weights with
+    match resolve_knobs knobs with
     | Error msg ->
         Printf.eprintf "error: %s\n" msg;
         1
-    | Ok strategy -> (
-    let unknown = List.filter (fun n -> transform_of_name n = None) tnames in
-    if unknown <> [] then begin
-      Printf.eprintf "error: unknown transforms: %s\n" (String.concat ", " unknown);
-      1
-    end
-    else begin
+    | Ok (config, transforms) ->
       let files =
         Sys.readdir indir |> Array.to_list
         |> List.filter (fun f ->
@@ -648,15 +620,6 @@ let batch_cmd =
               })
             files
         in
-        let config =
-          {
-            Zipr.Pipeline.default_config with
-            Zipr.Pipeline.placement = strategy;
-            ir_jobs;
-            infer;
-          }
-        in
-        let transforms = List.filter_map transform_of_name tnames in
         let ir_cache =
           Option.map
             (fun dir ->
@@ -673,7 +636,7 @@ let batch_cmd =
         in
         let report =
           Parallel.Corpus.rewrite_all ~jobs ~config ~transforms ?ir_cache
-            ?routine_cache ~corpus_seed items
+            ?routine_cache ~corpus_seed:knobs.Zipr.Options.seed items
         in
         ensure_dir outdir;
         List.iter
@@ -687,7 +650,6 @@ let batch_cmd =
         Format.printf "%a@." Parallel.Corpus.pp_report report;
         if report.Parallel.Corpus.failed = 0 then 0 else 1
       end
-    end)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -696,9 +658,7 @@ let batch_cmd =
           file: a binary that does not parse or fails to rewrite is reported and the \
           batch continues (exit 1 if any failed).")
     Term.(
-      const run $ transforms $ placement_name_arg $ placement_budget_arg
-      $ placement_epsilon_arg $ placement_weights_arg $ ir_jobs_arg $ infer_arg
-      $ corpus_seed $ batch_jobs $ ext $ cache_dir $ delta $ cache_disk_entries
+      const run $ knobs $ batch_jobs $ ext $ cache_dir $ delta $ cache_disk_entries
       $ cache_disk_bytes $ trace $ indir $ outdir)
 
 (* -- serve / client -- *)
@@ -797,26 +757,19 @@ let serve_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Write a Chrome trace of all served requests on shutdown.")
   in
-  let run addr jobs ir_jobs infer queue_bound max_request cache_entries cache_bytes
-      cache_dir cache_disk_entries cache_disk_bytes delta budget epsilon weights trace =
-    match addr with
-    | Error msg ->
+  let run addr jobs defaults queue_bound max_request cache_entries cache_bytes cache_dir
+      cache_disk_entries cache_disk_bytes delta trace =
+    (* Fail fast on bad default knobs, checked as a search request would
+       use them, instead of per request. *)
+    match (addr, resolve_knobs { defaults with Zipr.Options.placement = "search" }) with
+    | Error msg, _ | _, Error msg ->
         Printf.eprintf "error: %s\n" msg;
         2
-    | Ok addr -> (
-        (* Fail fast on bad default knobs instead of per-request. *)
-        match resolve_placement "search" budget epsilon weights with
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            2
-        | Ok _ -> (
+    | Ok addr, Ok _ -> (
         with_trace_file trace @@ fun () ->
         let config =
           {
-            Serve.Server.default_config with
             Serve.Server.jobs = Zipr.Pipeline.resolve_jobs jobs;
-            ir_jobs;
-            infer;
             queue_bound = max 1 queue_bound;
             max_request_bytes = max 1024 max_request;
             cache_entries = max 1 cache_entries;
@@ -825,9 +778,7 @@ let serve_cmd =
             cache_disk_entries;
             cache_disk_bytes;
             delta;
-            placement_budget = budget;
-            placement_epsilon = epsilon;
-            placement_weights = weights;
+            defaults;
           }
         in
         match Serve.Server.create ~config ~resolve_transform:transform_of_name addr with
@@ -855,7 +806,7 @@ let serve_cmd =
               s.Serve.Server.cache_hits s.Serve.Server.cache_misses
               s.Serve.Server.routine_hits s.Serve.Server.routine_misses
               s.Serve.Server.delta_builds;
-            0))
+            0)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -865,10 +816,9 @@ let serve_cmd =
           load with fast overloaded responses once its queue bound is reached. SIGTERM \
           or SIGINT shuts it down cleanly (in-flight requests complete).")
     Term.(
-      const run $ addr_term $ jobs $ ir_jobs_arg $ infer_arg $ queue_bound $ max_request
+      const run $ addr_term $ jobs $ daemon_knobs $ queue_bound $ max_request
       $ cache_entries $ cache_bytes $ cache_dir $ cache_disk_entries $ cache_disk_bytes
-      $ delta $ placement_budget_arg $ placement_epsilon_arg $ placement_weights_arg
-      $ trace)
+      $ delta $ trace)
 
 (* -- gencorpus -- *)
 
@@ -958,16 +908,6 @@ let gencorpus_cmd =
     Term.(const run $ versions $ seed $ routines $ body_ops $ edits $ count $ outdir)
 
 let client_cmd =
-  let transforms =
-    Arg.(
-      value
-      & opt (list string) [ "null" ]
-      & info [ "t"; "transform" ] ~docv:"NAMES"
-          ~doc:
-            (Printf.sprintf "Comma-separated transforms, applied in order. Available: %s."
-               (String.concat ", " transform_names)))
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Layout seed (random placement).") in
   let deadline_ms =
     Arg.(
       value & opt int 0
@@ -983,42 +923,18 @@ let client_cmd =
       & info [ "sleep-ms" ] ~docv:"MS" ~doc:"With --ping: ask the server to sleep first.")
   in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print the server's per-request stats.") in
-  let client_ir_jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ir-jobs" ] ~docv:"N"
-          ~doc:
-            "Override the server's intra-binary IR worker default for this request \
-             (0 = auto-detect on the server). The resolved value comes back in the \
-             det.ir_jobs stats line; output bytes are identical at any value.")
-  in
-  let client_infer =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "infer" ] ~docv:"BOOL"
-          ~doc:
-            "Override the server's inference-refiner default for this request \
-             (--infer=true or --infer=false). Unset, the knob is not encoded at \
-             all, so the request config stays byte-identical to v1 frames and the \
-             server default applies. The effective value comes back in det.infer.")
-  in
   let files = Arg.(value & pos_all string [] & info [] ~docv:"INPUT OUTPUT") in
-  let run addr tnames placement budget epsilon weights ir_jobs infer seed deadline_ms
-      do_ping sleep_ms stats files =
-    match addr with
-    | Error msg ->
+  let run addr knobs deadline_ms do_ping sleep_ms stats files =
+    (* Validate locally before paying for a round trip; the server
+       re-validates (it may know different strategies). *)
+    match (addr, resolve_knobs knobs) with
+    | Error msg, _ ->
         Printf.eprintf "error: %s\n" msg;
         2
-    | Ok addr -> (
-        (* Validate locally before paying for a round-trip; the server
-           re-validates (it may know different strategies). *)
-        match resolve_placement placement budget epsilon weights with
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            1
-        | Ok _ -> (
+    | _, Error msg ->
+        Printf.eprintf "error: %s\n" msg;
+        1
+    | Ok addr, Ok _ -> (
         let deadline_us = max 0 deadline_ms * 1000 in
         let finish (resp : Serve.Protocol.Response.t) on_ok =
           if stats && resp.Serve.Protocol.Response.stats <> "" then
@@ -1044,9 +960,7 @@ let client_cmd =
           match files with
           | [ inp; out ] -> (
               match
-                Serve.Client.rewrite ~deadline_us ~placement ?placement_budget:budget
-                  ?placement_epsilon:epsilon ~placement_weights:weights ?ir_jobs ?infer
-                  ~seed ~transforms:tnames addr (read_file inp)
+                Serve.Client.rewrite ~deadline_us ~options:knobs addr (read_file inp)
               with
               | Error msg ->
                   Printf.eprintf "error: %s\n" msg;
@@ -1061,7 +975,7 @@ let client_cmd =
                       0))
           | _ ->
               Printf.eprintf "error: expected INPUT and OUTPUT arguments (or --ping)\n";
-              2))
+              2)
   in
   Cmd.v
     (Cmd.info "client"
@@ -1069,9 +983,7 @@ let client_cmd =
          "Send one request to a running ziprtool serve daemon: rewrite INPUT into OUTPUT \
           remotely, or health-check it with --ping.")
     Term.(
-      const run $ addr_term $ transforms $ placement_name_arg $ placement_budget_arg
-      $ placement_epsilon_arg $ placement_weights_arg $ client_ir_jobs $ client_infer
-      $ seed $ deadline_ms $ do_ping $ sleep_ms $ stats $ files)
+      const run $ addr_term $ knobs $ deadline_ms $ do_ping $ sleep_ms $ stats $ files)
 
 let () =
   let doc = "static binary rewriting for the ZVM (a Zipr reproduction)" in

@@ -3,14 +3,3 @@ type t = { name : string; describe : string; apply : Irdb.Db.t -> unit }
 let make ~name ~describe apply = { name; describe; apply }
 
 let apply_all ts db = List.iter (fun t -> t.apply db) ts
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-let register t =
-  if Hashtbl.mem registry t.name then
-    invalid_arg (Printf.sprintf "Transform.register: duplicate %S" t.name);
-  Hashtbl.replace registry t.name t
-
-let find name = Hashtbl.find_opt registry name
-
-let names () = Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort compare

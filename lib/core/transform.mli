@@ -20,13 +20,3 @@ val make : name:string -> describe:string -> (Irdb.Db.t -> unit) -> t
 
 val apply_all : t list -> Irdb.Db.t -> unit
 (** Apply in order. *)
-
-(** A registry so command-line tools can look transforms up by name. *)
-
-val register : t -> unit
-(** Raises [Invalid_argument] on duplicate names. *)
-
-val find : string -> t option
-
-val names : unit -> string list
-(** Registered names, sorted. *)

@@ -44,6 +44,17 @@ let names prefix =
     disk_evictions = n "disk_evictions";
   }
 
+(* An entry, linked into the recency list by its two mutable fields:
+   [older] toward the least recently used end.  The list is circular
+   through a sentinel, the only node whose [value] is [None]. *)
+type 'a node = {
+  key : string;
+  value : 'a option;
+  bytes : int;  (* what the entry charges against the byte budget *)
+  mutable older : 'a node;
+  mutable newer : 'a node;
+}
+
 type 'a t = {
   names : names;
   capacity : int;
@@ -51,10 +62,9 @@ type 'a t = {
   weigh : 'a -> int;
   disk : (disk * 'a codec) option;
   lock : Mutex.t;
-  entries : (string, 'a) Hashtbl.t;
-  last_use : (string, int) Hashtbl.t;
-  mutable tick : int;
-  mutable resident : int;  (* sum of entry_bytes over [entries] *)
+  entries : (string, 'a node) Hashtbl.t;
+  lru : 'a node;  (* sentinel: [lru.older] is the victim, [lru.newer] the newest *)
+  mutable resident : int;  (* sum of [bytes] over [entries] *)
   mutable evicted : int;
   mutable oversize : int;
   mutable disk_evicted : int;
@@ -70,6 +80,7 @@ let create ?(capacity = 4096) ?max_bytes ?disk ~name ~weigh () =
         ({ d with max_entries; max_bytes }, codec))
       disk
   in
+  let rec lru = { key = ""; value = None; bytes = 0; older = lru; newer = lru } in
   {
     names = names name;
     capacity = max 1 capacity;
@@ -78,8 +89,7 @@ let create ?(capacity = 4096) ?max_bytes ?disk ~name ~weigh () =
     disk;
     lock = Mutex.create ();
     entries = Hashtbl.create 256;
-    last_use = Hashtbl.create 256;
-    tick = 0;
+    lru;
     resident = 0;
     evicted = 0;
     oversize = 0;
@@ -101,63 +111,52 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let touch t k =
-  t.tick <- t.tick + 1;
-  Hashtbl.replace t.last_use k t.tick
+let unlink n =
+  n.older.newer <- n.newer;
+  n.newer.older <- n.older
 
-(* What an entry charges against the byte budget: its key and payload. *)
-let entry_bytes t k v = String.length k + t.weigh v
+(* Make [n] the newest entry.  Relinking allocates nothing, so a memory
+   hit costs a hashtable probe and six pointer writes. *)
+let push_newest t n =
+  n.older <- t.lru;
+  n.newer <- t.lru.newer;
+  t.lru.newer.older <- n;
+  t.lru.newer <- n
 
-let evict_one t =
-  let age k = Option.value (Hashtbl.find_opt t.last_use k) ~default:0 in
-  let victim =
-    Hashtbl.fold
-      (fun k _ acc -> match acc with Some k' when age k' <= age k -> acc | _ -> Some k)
-      t.entries None
-  in
-  match victim with
-  | Some k ->
-      (match Hashtbl.find_opt t.entries k with
-      | Some v -> t.resident <- t.resident - entry_bytes t k v
-      | None -> ());
-      Hashtbl.remove t.entries k;
-      Hashtbl.remove t.last_use k;
-      t.evicted <- t.evicted + 1;
-      Obs.count t.names.evictions 1
-  | None ->
-      Hashtbl.reset t.entries;
-      t.resident <- 0
+let remove t n =
+  unlink n;
+  Hashtbl.remove t.entries n.key;
+  t.resident <- t.resident - n.bytes
 
 (* Insert under both bounds: at most [capacity] entries and, when a byte
    budget is set, at most [max_bytes] resident bytes.  Eviction is
-   strictly least-recently-used for both triggers.  A payload that alone
-   exceeds the budget is not admitted at all (evicting the whole cache
-   for one entry that still would not fit buys nothing). *)
+   strictly least-recently-used for both triggers and takes the oldest
+   node in constant time.  A payload that alone exceeds the budget is
+   not admitted at all (evicting the whole cache for one entry that
+   still would not fit buys nothing). *)
 let insert t k v =
-  (match Hashtbl.find_opt t.entries k with
-  | Some old ->
-      t.resident <- t.resident - entry_bytes t k old;
-      Hashtbl.remove t.entries k;
-      Hashtbl.remove t.last_use k
-  | None -> ());
-  let sz = entry_bytes t k v in
+  Option.iter (remove t) (Hashtbl.find_opt t.entries k);
+  let bytes = String.length k + t.weigh v in
   match t.max_bytes with
-  | Some budget when sz > budget ->
+  | Some budget when bytes > budget ->
       t.oversize <- t.oversize + 1;
       Obs.count t.names.oversize_skips 1
   | _ ->
       let over_budget () =
-        match t.max_bytes with Some budget -> t.resident + sz > budget | None -> false
+        match t.max_bytes with Some budget -> t.resident + bytes > budget | None -> false
       in
       while
         Hashtbl.length t.entries > 0
         && (Hashtbl.length t.entries >= t.capacity || over_budget ())
       do
-        evict_one t
+        remove t t.lru.older;
+        t.evicted <- t.evicted + 1;
+        Obs.count t.names.evictions 1
       done;
-      Hashtbl.replace t.entries k v;
-      t.resident <- t.resident + sz;
-      touch t k;
+      let rec n = { key = k; value = Some v; bytes; older = n; newer = n } in
+      push_newest t n;
+      Hashtbl.replace t.entries k n;
+      t.resident <- t.resident + bytes;
       Obs.gauge_max t.names.resident_bytes t.resident
 
 (* -- disk layer -- *)
@@ -241,12 +240,13 @@ let prune t =
 let find t k =
   Obs.count t.names.lookups 1;
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.entries k with
-      | Some v ->
-          touch t k;
+      match Hashtbl.find t.entries k with
+      | n ->
+          unlink n;
+          push_newest t n;
           Obs.count t.names.mem_hits 1;
-          Some v
-      | None -> (
+          n.value
+      | exception Not_found -> (
           match disk_find t k with
           | Some v ->
               insert t k v;

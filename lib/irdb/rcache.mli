@@ -47,7 +47,9 @@ val create :
     [max_bytes] also bounds the resident bytes, key length plus [weigh]
     per entry: inserting past it evicts least-recently-used entries
     until the newcomer fits, and an entry larger than the whole budget
-    is not admitted at all ({!oversize_skips}).  No byte budget by
+    is not admitted at all ({!oversize_skips}).  An eviction costs the
+    same at any resident count, and a memory hit updates recency
+    without allocating.  No byte budget by
     default, no disk layer without [disk].
 
     [name] prefixes the obs counters

@@ -42,27 +42,9 @@ let request ?max_response_bytes addr (req : Protocol.Request.t) :
                   else Ok resp
               | Error f -> Error (Protocol.error_to_string f.Protocol.error)))
 
-let rewrite ?(deadline_us = 0) ?(placement = "optimized") ?placement_budget
-    ?placement_epsilon ?(placement_weights = "") ?ir_jobs ?infer ?(seed = 1) ?(id = 1L)
-    ?max_response_bytes ~transforms addr data =
+let rewrite ?(deadline_us = 0) ?(id = 1L) ?max_response_bytes ~options addr data =
   request ?max_response_bytes addr
-    {
-      Protocol.Request.id;
-      deadline_us;
-      op =
-        Protocol.Rewrite
-          {
-            Protocol.transforms;
-            placement;
-            seed;
-            placement_budget;
-            placement_epsilon;
-            placement_weights;
-            ir_jobs;
-            infer;
-          };
-      payload = data;
-    }
+    { Protocol.Request.id; deadline_us; op = Protocol.Rewrite options; payload = data }
 
 let ping ?(sleep_us = 0) ?(deadline_us = 0) ?(id = 1L) ?(payload = "ping") addr =
   request addr { Protocol.Request.id; deadline_us; op = Protocol.Ping { sleep_us }; payload }

@@ -16,28 +16,20 @@ val request :
 
 val rewrite :
   ?deadline_us:int ->
-  ?placement:string ->
-  ?placement_budget:int ->
-  ?placement_epsilon:float ->
-  ?placement_weights:string ->
-  ?ir_jobs:int ->
-  ?infer:bool ->
-  ?seed:int ->
   ?id:int64 ->
   ?max_response_bytes:int ->
-  transforms:string list ->
+  options:Zipr.Options.t ->
   Protocol.addr ->
   string ->
   (Protocol.Response.t, string) result
-(** Defaults mirror [ziprtool rewrite]: optimized placement, seed 1 —
-    so a served rewrite with the defaults is byte-comparable to the
-    offline CLI.  The search knobs travel in the request config and are
-    validated server-side ([Bad_request] on a malformed spec).
-    [ir_jobs] overrides the server's intra-binary IR worker default for
-    this request (0 = auto-detect on the server); it changes timing
-    only, never the output bytes.  [infer] overrides the server's
-    inference-refiner default; unset, the key is not even encoded, so
-    the config stays byte-identical to v1. *)
+(** Send one input binary to be rewritten under [options], which travel
+    as given: knobs left unset are not encoded, so the server's defaults
+    apply and the config stays byte-identical to v1.
+    {!Zipr.Options.default} asks for what [ziprtool rewrite] does with no
+    flags, so a served rewrite is byte-comparable to the offline CLI.
+    The server validates the knobs ([Bad_request] on an unknown transform
+    or a malformed search knob); [ir_jobs] changes timing only, never the
+    output bytes. *)
 
 val ping :
   ?sleep_us:int ->

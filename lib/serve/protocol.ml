@@ -48,28 +48,18 @@ let header_bytes = 26
 
 let default_max_payload = 64 * 1024 * 1024
 
-type rewrite_config = {
+type rewrite_config = Zipr.Options.t = {
   transforms : string list;
   placement : string;
   seed : int;
   placement_budget : int option;
   placement_epsilon : float option;
-  placement_weights : string;  (* Cost.weights_of_spec syntax; "" means defaults *)
-  ir_jobs : int option;  (* intra-binary IR workers; None = server default *)
-  infer : bool option;  (* inference refiner; None = server default *)
+  placement_weights : string;
+  ir_jobs : int option;
+  infer : bool option;
 }
 
-let default_rewrite_config =
-  {
-    transforms = [ "null" ];
-    placement = "optimized";
-    seed = 1;
-    placement_budget = None;
-    placement_epsilon = None;
-    placement_weights = "";
-    ir_jobs = None;
-    infer = None;
-  }
+let default_rewrite_config = Zipr.Options.default
 
 type op = Rewrite of rewrite_config | Ping of { sleep_us : int }
 
@@ -143,34 +133,15 @@ let domain_of_addr = function Unix_path _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INE
 
 let op_byte = function Rewrite _ -> 1 | Ping _ -> 2
 
-(* Optional search knobs only appear when set, so configs from older
-   clients and to older servers stay byte-identical to v1; weight specs
-   contain ',' and '=' but no ';', and the parser splits each pair at
-   the FIRST '=', so the value round-trips unescaped. *)
-let config_of_op = function
-  | Rewrite c ->
-      String.concat ""
-        [
-          Printf.sprintf "transforms=%s;placement=%s;seed=%d"
-            (String.concat "," c.transforms)
-            c.placement c.seed;
-          (match c.placement_budget with
-          | None -> ""
-          | Some b -> Printf.sprintf ";placement_budget=%d" b);
-          (match c.placement_epsilon with
-          | None -> ""
-          | Some e -> Printf.sprintf ";placement_epsilon=%.17g" e);
-          (if c.placement_weights = "" then ""
-           else ";placement_weights=" ^ c.placement_weights);
-          (match c.ir_jobs with
-          | None -> ""
-          | Some j -> Printf.sprintf ";ir_jobs=%d" j);
-          (match c.infer with
-          | None -> ""
-          | Some b -> Printf.sprintf ";infer=%d" (if b then 1 else 0));
-        ]
-  | Ping { sleep_us } -> Printf.sprintf "sleep_us=%d" sleep_us
+let config_of_op op =
+  let pairs =
+    match op with
+    | Rewrite c -> Zipr.Options.to_pairs c
+    | Ping { sleep_us } -> [ ("sleep_us", string_of_int sleep_us) ]
+  in
+  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) pairs)
 
+(* Pairs split at their FIRST '=', so values may contain '='. *)
 let split_pairs s =
   String.split_on_char ';' s
   |> List.filter_map (fun kv ->
@@ -181,61 +152,24 @@ let split_pairs s =
            | Some i ->
                Some (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)))
 
-let int_field ~what v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "config: %s is not an integer: %S" what v)
-
 (* Unknown keys are ignored (forward compatibility); known keys with
    unparseable values are malformed. *)
 let op_of_config opb config =
-  match opb with
-  | 1 ->
-      List.fold_left
-        (fun acc (k, v) ->
-          Result.bind acc (fun c ->
-              match k with
-              | "transforms" ->
-                  Ok
-                    {
-                      c with
-                      transforms =
-                        String.split_on_char ',' v |> List.filter (fun s -> s <> "");
-                    }
-              | "placement" -> Ok { c with placement = v }
-              | "seed" -> Result.map (fun seed -> { c with seed }) (int_field ~what:"seed" v)
-              | "placement_budget" ->
-                  Result.map
-                    (fun b -> { c with placement_budget = Some b })
-                    (int_field ~what:"placement_budget" v)
-              | "placement_epsilon" -> (
-                  match float_of_string_opt v with
-                  | Some e -> Ok { c with placement_epsilon = Some e }
-                  | None ->
-                      Error
-                        (Printf.sprintf "config: placement_epsilon is not a number: %S" v))
-              | "placement_weights" -> Ok { c with placement_weights = v }
-              | "ir_jobs" ->
-                  Result.map
-                    (fun j -> { c with ir_jobs = Some j })
-                    (int_field ~what:"ir_jobs" v)
-              | "infer" ->
-                  Result.map
-                    (fun b -> { c with infer = Some (b <> 0) })
-                    (int_field ~what:"infer" v)
-              | _ -> Ok c))
-        (Ok default_rewrite_config) (split_pairs config)
-      |> Result.map (fun c -> Rewrite c)
-  | 2 ->
-      List.fold_left
-        (fun acc (k, v) ->
-          Result.bind acc (fun sleep_us ->
-              match k with
-              | "sleep_us" -> int_field ~what:"sleep_us" v
-              | _ -> Ok sleep_us))
-        (Ok 0) (split_pairs config)
-      |> Result.map (fun sleep_us -> Ping { sleep_us })
-  | n -> Error (Printf.sprintf "unknown opcode %d" n)
+  let pairs = split_pairs config in
+  Result.map_error (fun msg -> "config: " ^ msg)
+    (match opb with
+    | 1 -> Result.map (fun c -> Rewrite c) (Zipr.Options.of_pairs pairs)
+    | _ (* 2: [read_request] rejects every other opcode first *) ->
+        List.fold_left
+          (fun acc (k, v) ->
+            Result.bind acc (fun sleep_us ->
+                match (k, int_of_string_opt v) with
+                | "sleep_us", Some n -> Ok n
+                | "sleep_us", None ->
+                    Error (Printf.sprintf "sleep_us is not an integer: %S" v)
+                | _ -> Ok sleep_us))
+          (Ok 0) pairs
+        |> Result.map (fun sleep_us -> Ping { sleep_us }))
 
 (* -- errors -- *)
 

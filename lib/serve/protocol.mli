@@ -20,32 +20,22 @@ val header_bytes : int
 
 val default_max_payload : int
 
-type rewrite_config = {
+type rewrite_config = Zipr.Options.t = {
   transforms : string list;
   placement : string;
   seed : int;
   placement_budget : int option;
-      (** search-strategy candidate budget; [None] = server default *)
   placement_epsilon : float option;
-      (** search-strategy diversity dial in [0,1]; [None] = server default *)
   placement_weights : string;
-      (** cost-model weight spec ({!Zipr.Cost.weights_of_spec} syntax);
-          [""] = server default.  May contain [','] and ['='] but never
-          [';'] — pairs split at the first ['='] so it round-trips. *)
   ir_jobs : int option;
-      (** intra-binary IR construction workers ([0] = auto-detect);
-          [None] = server default.  Output bytes never depend on it. *)
   infer : bool option;
-      (** run the inference refiner ({!Disasm.Infer}) for this request;
-          [None] = server default.  Encoded (as [infer=0|1]) only when
-          set, so configs that never mention it stay byte-identical to
-          v1 frames. *)
 }
-(** Transform names must not contain [','], [';'] or ['=']; registry
-    names never do.  Unknown names are rejected by the server with
-    [Bad_request], not at codec level.  The optional search knobs are
-    encoded only when set, so v1 configs are unchanged byte-for-byte and
-    older servers ignore the new keys. *)
+(** A rewrite request's knobs, re-exported from {!Zipr.Options.t}.  The
+    config section is {!Zipr.Options.to_pairs} joined as [k=v;k=v] and
+    read back by {!Zipr.Options.of_pairs}.  Transform names must not
+    contain [','], [';'] or ['=']; registry names never do.  Unknown
+    names are rejected by the server with [Bad_request], not at codec
+    level. *)
 
 val default_rewrite_config : rewrite_config
 

@@ -32,15 +32,7 @@ type config = {
   cache_disk_entries : int option;
   cache_disk_bytes : int option;
   delta : bool;
-  read_timeout_s : float;
-  max_ping_sleep_us : int;
-  (* Server-side defaults for the search placement strategy; a request
-     that sets its own knobs wins. *)
-  placement_budget : int option;
-  placement_epsilon : float option;
-  placement_weights : string;
-  ir_jobs : int;  (* intra-binary IR workers per request; 0 = auto *)
-  infer : bool;  (* inference-refiner default; a request's infer= wins *)
+  defaults : Zipr.Options.t;  (* the knobs a request leaves unset *)
 }
 
 let default_config =
@@ -54,14 +46,16 @@ let default_config =
     cache_disk_entries = None;
     cache_disk_bytes = None;
     delta = false;
-    read_timeout_s = 10.0;
-    max_ping_sleep_us = 30_000_000;
-    placement_budget = None;
-    placement_epsilon = None;
-    placement_weights = "";
-    ir_jobs = 1;
-    infer = false;
+    defaults = Zipr.Options.default;
   }
+
+(* The accept loop reads each request frame itself, so a client that
+   connects and then goes quiet stalls it for at most this long. *)
+let read_timeout_s = 10.0
+
+(* A ping may sleep on its worker for at most this long, whatever the
+   client asks for. *)
+let max_ping_sleep_us = 30_000_000
 
 type stats = {
   accepted : int;  (* request frames that decoded *)
@@ -255,9 +249,9 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
    of (input bytes, config), so N clients asking concurrently — at any
    worker count — read identical ["det."] lines.  Wall-clock facts live
    in the unprefixed lines below. *)
-let stats_text ~(rc : Protocol.rewrite_config) ~ir_jobs ~infer ~input_bytes ~output_bytes
-    ~(rs : Zipr.Reassemble.stats) ~(tally : Disasm.Aggregate.tally) ~cache_outcome
-    ~(cache : Zipr.Pipeline.cache_stats) ~elapsed_us ~queue_wait_us =
+let stats_text ~(rc : Zipr.Options.t) ~(config : Zipr.Pipeline.config) ~input_bytes
+    ~output_bytes ~(rs : Zipr.Reassemble.stats) ~(tally : Disasm.Aggregate.tally)
+    ~cache_outcome ~(cache : Zipr.Pipeline.cache_stats) ~elapsed_us ~queue_wait_us =
   String.concat ""
     [
       (* Aggregator per-case byte accounting, one det.agg.* line per
@@ -269,9 +263,9 @@ let stats_text ~(rc : Protocol.rewrite_config) ~ir_jobs ~infer ~input_bytes ~out
       Printf.sprintf "det.chain_hops=%d\n" rs.Zipr.Reassemble.chain_hops;
       Printf.sprintf "det.dollops_placed=%d\n" rs.Zipr.Reassemble.dollops_placed;
       Printf.sprintf "det.dollops_split=%d\n" rs.Zipr.Reassemble.dollops_split;
-      Printf.sprintf "det.infer=%d\n" (if infer then 1 else 0);
+      Printf.sprintf "det.infer=%d\n" (if config.Zipr.Pipeline.infer then 1 else 0);
       Printf.sprintf "det.input_bytes=%d\n" input_bytes;
-      Printf.sprintf "det.ir_jobs=%d\n" ir_jobs;
+      Printf.sprintf "det.ir_jobs=%d\n" config.Zipr.Pipeline.ir_jobs;
       Printf.sprintf "det.output_bytes=%d\n" output_bytes;
       Printf.sprintf "det.page_misses=%d\n" rs.Zipr.Reassemble.page_misses;
       Printf.sprintf "det.pins_colocated=%d\n" rs.Zipr.Reassemble.pins_colocated;
@@ -294,82 +288,54 @@ let stats_text ~(rc : Protocol.rewrite_config) ~ir_jobs ~infer ~input_bytes ~out
       Printf.sprintf "routine_misses=%d\n" cache.Zipr.Pipeline.routine_misses;
     ]
 
-let exec_rewrite t ~id ~queue_wait_us (rc : Protocol.rewrite_config) payload =
-  let unknown = List.filter (fun n -> t.resolve n = None) rc.transforms in
-  if unknown <> [] then
-    response ~id Protocol.Bad_request
-      ~message:("unknown transforms: " ^ String.concat ", " unknown)
-  else
-    let first_some a b = match a with Some _ -> a | None -> b in
-    match
-      Zipr.Placement.resolve
-        ?budget:(first_some rc.placement_budget t.cfg.placement_budget)
-        ?epsilon:(first_some rc.placement_epsilon t.cfg.placement_epsilon)
-        ~weights_spec:
-          (if rc.placement_weights <> "" then rc.placement_weights
-           else t.cfg.placement_weights)
-        rc.placement
-    with
-    | Error msg -> response ~id Protocol.Bad_request ~message:msg
-    | Ok placement -> (
-        match Zelf.Binary.parse (Bytes.of_string payload) with
-        | Error e ->
-            response ~id Protocol.Bad_request
-              ~message:(Format.asprintf "input does not parse: %a" Zelf.Binary.pp_parse_error e)
-        | Ok binary -> (
-            let transforms = List.filter_map t.resolve rc.transforms in
-            (* The per-request override wins over the daemon default; the
-               resolved worker count is echoed in det.ir_jobs so clients
-               can confirm what the server actually ran with. *)
-            let ir_jobs =
-              Zipr.Pipeline.resolve_jobs
-                (Option.value rc.ir_jobs ~default:t.cfg.ir_jobs)
-            in
-            let infer = Option.value rc.infer ~default:t.cfg.infer in
-            let config =
-              {
-                Zipr.Pipeline.default_config with
-                Zipr.Pipeline.placement;
-                seed = rc.seed;
-                ir_jobs;
-                infer;
-              }
-            in
-            let t0 = now () in
-            match
-              Zipr.Pipeline.try_rewrite ~config ~ir_cache:t.cache
-                ?routine_cache:t.routine_cache ~transforms binary
-            with
-            | Error msg -> response ~id Protocol.Rewrite_error ~message:msg
-            | Ok r ->
-                let elapsed_us = int_of_float ((now () -. t0) *. 1e6) in
-                let cache = r.Zipr.Pipeline.cache in
-                Atomic.fetch_and_add t.c.c_cache_hits cache.Zipr.Pipeline.ir_cache_hits
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_cache_misses cache.Zipr.Pipeline.ir_cache_misses
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_routine_hits cache.Zipr.Pipeline.routine_hits
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_routine_misses cache.Zipr.Pipeline.routine_misses
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_delta_builds cache.Zipr.Pipeline.delta_builds
-                |> ignore;
-                let out = Zelf.Binary.serialize r.Zipr.Pipeline.rewritten in
-                let stats =
-                  stats_text ~rc ~ir_jobs ~infer ~input_bytes:(String.length payload)
-                    ~output_bytes:(Bytes.length out) ~rs:r.Zipr.Pipeline.stats
-                    ~tally:
-                      r.Zipr.Pipeline.ir.Zipr.Ir_construction.aggregate
-                        .Disasm.Aggregate.tally
-                    ~cache_outcome:
-                      (if
-                         cache.Zipr.Pipeline.ir_cache_hits > 0
-                         || cache.Zipr.Pipeline.routine_hits > 0
-                       then "hit"
-                       else "miss")
-                    ~cache ~elapsed_us ~queue_wait_us
-                in
-                response ~id Protocol.Ok_ ~stats ~payload:(Bytes.unsafe_to_string out)))
+(* The request's set knobs win over the daemon's defaults; the
+   effective ir_jobs and infer are echoed in det.ir_jobs and det.infer so
+   clients can confirm what the server actually ran with. *)
+let exec_rewrite t ~id ~queue_wait_us (rc : Zipr.Options.t) payload =
+  let rc = Zipr.Options.merge ~defaults:t.cfg.defaults rc in
+  match Zipr.Options.resolve ~resolve_transform:t.resolve rc with
+  | Error message -> response ~id Protocol.Bad_request ~message
+  | Ok (config, transforms) -> (
+      match Zelf.Binary.parse (Bytes.of_string payload) with
+      | Error e ->
+          response ~id Protocol.Bad_request
+            ~message:(Format.asprintf "input does not parse: %a" Zelf.Binary.pp_parse_error e)
+      | Ok binary -> (
+          let t0 = now () in
+          match
+            Zipr.Pipeline.try_rewrite ~config ~ir_cache:t.cache
+              ?routine_cache:t.routine_cache ~transforms binary
+          with
+          | Error msg -> response ~id Protocol.Rewrite_error ~message:msg
+          | Ok r ->
+              let elapsed_us = int_of_float ((now () -. t0) *. 1e6) in
+              let cache = r.Zipr.Pipeline.cache in
+              Atomic.fetch_and_add t.c.c_cache_hits cache.Zipr.Pipeline.ir_cache_hits
+              |> ignore;
+              Atomic.fetch_and_add t.c.c_cache_misses cache.Zipr.Pipeline.ir_cache_misses
+              |> ignore;
+              Atomic.fetch_and_add t.c.c_routine_hits cache.Zipr.Pipeline.routine_hits
+              |> ignore;
+              Atomic.fetch_and_add t.c.c_routine_misses cache.Zipr.Pipeline.routine_misses
+              |> ignore;
+              Atomic.fetch_and_add t.c.c_delta_builds cache.Zipr.Pipeline.delta_builds
+              |> ignore;
+              let out = Zelf.Binary.serialize r.Zipr.Pipeline.rewritten in
+              let stats =
+                stats_text ~rc ~config ~input_bytes:(String.length payload)
+                  ~output_bytes:(Bytes.length out) ~rs:r.Zipr.Pipeline.stats
+                  ~tally:
+                    r.Zipr.Pipeline.ir.Zipr.Ir_construction.aggregate
+                      .Disasm.Aggregate.tally
+                  ~cache_outcome:
+                    (if
+                       cache.Zipr.Pipeline.ir_cache_hits > 0
+                       || cache.Zipr.Pipeline.routine_hits > 0
+                     then "hit"
+                     else "miss")
+                  ~cache ~elapsed_us ~queue_wait_us
+              in
+              response ~id Protocol.Ok_ ~stats ~payload:(Bytes.unsafe_to_string out)))
 
 let run_request t fd (req : Protocol.Request.t) ~admitted_at ~worker:_ =
   Admission.started t.adm;
@@ -393,7 +359,7 @@ let run_request t fd (req : Protocol.Request.t) ~admitted_at ~worker:_ =
             match req.op with
             | Protocol.Ping { sleep_us } ->
                 Atomic.incr t.c.c_pings;
-                let sleep_us = min (max 0 sleep_us) t.cfg.max_ping_sleep_us in
+                let sleep_us = min (max 0 sleep_us) max_ping_sleep_us in
                 if sleep_us > 0 then Unix.sleepf (float_of_int sleep_us /. 1e6);
                 respond t fd
                   (response ~id Protocol.Ok_
@@ -405,7 +371,7 @@ let run_request t fd (req : Protocol.Request.t) ~admitted_at ~worker:_ =
 (* -- accept loop -- *)
 
 let handle_conn t fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout_s
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   match
     Protocol.read_request ~max_payload:t.cfg.max_request_bytes (Protocol.input_of_fd fd)

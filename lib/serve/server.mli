@@ -39,33 +39,20 @@ type config = {
           through {!Zipr.Delta} (a whole-binary memo of IR snapshots,
           [cache_entries] of them, then routine-fragment stitching)
           before falling back to the snapshot IR cache *)
-  read_timeout_s : float;  (** per-connection socket read timeout *)
-  max_ping_sleep_us : int;  (** cap on client-requested ping sleeps *)
-  placement_budget : int option;
-      (** default search-strategy candidate budget for requests that do
-          not set their own *)
-  placement_epsilon : float option;
-      (** default search-strategy diversity dial; a request's own knob
-          wins *)
-  placement_weights : string;
-      (** default cost-model weight spec ([""] = {!Zipr.Cost.default_weights}) *)
-  ir_jobs : int;
-      (** default intra-binary IR construction workers per request
-          ([0] = auto-detect); a request's own [ir_jobs] knob wins.  The
-          resolved value is echoed in the response's [det.ir_jobs] stats
-          line; output bytes never depend on it. *)
-  infer : bool;
-      (** default inference-refiner switch per request; a request's own
-          [infer] knob wins.  The effective value is echoed in
-          [det.infer], and the aggregator's per-case byte accounting
-          rides in the [det.agg.*] lines either way. *)
+  defaults : Zipr.Options.t;
+      (** the optional knobs a request leaves unset; a request's set
+          knobs win, and its transforms, placement and seed always do
+          ({!Zipr.Options.merge}).  The effective [ir_jobs] and [infer]
+          are echoed in the response's [det.ir_jobs] and [det.infer]
+          lines; output bytes never depend on [ir_jobs]. *)
 }
 
 val default_config : config
 (** jobs 2, queue bound 32, 64 MiB max request, 256-entry / 64 MiB
     memory-only cache (disk layer unbounded when enabled), delta off,
-    10 s read timeout, 30 s ping-sleep cap, search knobs unset, serial
-    IR construction ([ir_jobs = 1]), inference refiner off. *)
+    {!Zipr.Options.default} (serial IR construction, inference refiner
+    off).  Fixed: a connection that goes quiet for 10 s mid-frame is
+    dropped, and a ping sleeps at most 30 s. *)
 
 type stats = {
   accepted : int;  (** request frames that decoded successfully *)

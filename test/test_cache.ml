@@ -432,6 +432,80 @@ let test_disk_bound_shared () =
   Alcotest.(check bool) "other files untouched" true
     (Sys.file_exists (Filename.concat dir "notes.txt"))
 
+(* The store's LRU against a list model: random store/find sequences on
+   a small instance, under the entry bound, the byte bound or both.
+   Every find must hit or miss as the model does, with the same payload,
+   and the evictions, skipped oversize payloads, entry count and
+   resident bytes must agree after every step. *)
+type lru_op = Store of int * int | Find of int
+
+let prop_lru_model =
+  let gen =
+    QCheck.Gen.(
+      triple (1 -- 5)
+        (oneof [ return None; map Option.some (8 -- 60) ])
+        (list_size (0 -- 80)
+           (oneof
+              [
+                map2 (fun k w -> Store (k, w)) (0 -- 6) (1 -- 24);
+                map (fun k -> Find k) (0 -- 6);
+              ])))
+  in
+  let print (capacity, max_bytes, ops) =
+    Printf.sprintf "capacity %d, max_bytes %s: %s" capacity
+      (Option.fold ~none:"none" ~some:string_of_int max_bytes)
+      (String.concat " "
+         (List.map
+            (function
+              | Store (k, w) -> Printf.sprintf "store k%d:%d" k w
+              | Find k -> Printf.sprintf "find k%d" k)
+            ops))
+  in
+  QCheck.Test.make ~count:500 ~name:"LRU store matches a list model under both bounds"
+    (QCheck.make ~print gen)
+    (fun (capacity, max_bytes, ops) ->
+      let c = Irdb.Rcache.create ~capacity ?max_bytes ~name:"test.model" ~weigh:Fun.id () in
+      (* Model: (key, weight) pairs, newest first; an entry charges its
+         key length plus its weight. *)
+      let model = ref [] and evictions = ref 0 and oversize = ref 0 in
+      let bytes es = List.fold_left (fun a (k, w) -> a + String.length k + w) 0 es in
+      let over_budget es = match max_bytes with Some b -> bytes es > b | None -> false in
+      let step = function
+        | Find k ->
+            let k = Printf.sprintf "k%d" k in
+            let want = List.assoc_opt k !model in
+            Option.iter (fun w -> model := (k, w) :: List.remove_assoc k !model) want;
+            Irdb.Rcache.find c k = want
+        | Store (k, w) ->
+            let k = Printf.sprintf "k%d" k in
+            Irdb.Rcache.store c ~key:k w;
+            let rest = List.remove_assoc k !model in
+            if over_budget [ (k, w) ] then begin
+              incr oversize;
+              model := rest
+            end
+            else begin
+              let rec evict es =
+                if es <> [] && (List.length es >= capacity || over_budget ((k, w) :: es))
+                then begin
+                  incr evictions;
+                  evict (List.filteri (fun i _ -> i < List.length es - 1) es)
+                end
+                else es
+              in
+              model := (k, w) :: evict rest
+            end;
+            true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Irdb.Rcache.evictions c = !evictions
+          && Irdb.Rcache.oversize_skips c = !oversize
+          && Irdb.Rcache.mem_entries c = List.length !model
+          && Irdb.Rcache.resident_bytes c = bytes !model)
+        ops)
+
 (* The snapshot cache reports under the [irdb.cache.*] names of DESIGN
    §10.2: a cold rewrite misses and stores, a warm one hits memory. *)
 let test_counter_names () =
@@ -478,6 +552,7 @@ let suite =
       test_budget_many_inserts_hold_invariant;
     Alcotest.test_case "byte budget: holds under 4-domain hammer" `Slow
       test_budget_concurrent_hammer;
+    QCheck_alcotest.to_alcotest prop_lru_model;
     Alcotest.test_case "disk layer: entry-count bound prunes oldest" `Quick
       test_disk_entry_bound;
     Alcotest.test_case "disk layer: byte bound prunes oldest" `Quick test_disk_byte_bound;

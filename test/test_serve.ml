@@ -95,6 +95,72 @@ let test_response_roundtrip () =
         [ 1; 5; max_int ])
     sample_responses
 
+(* -- codec: v1 request frames, byte for byte --
+
+   Literal frames as the v1 encoder wrote them before the knobs were
+   gathered into [Zipr.Options]: the default config, each optional knob
+   alone, every knob set, an explicit [infer = Some false] and an empty
+   transform list.  A renamed or reordered key, a changed number format
+   or an unset knob on the wire changes the bytes. *)
+let v1_frames =
+  let d = P.default_rewrite_config in
+  [
+    ( d,
+      "ZSRQ\001\000\001\000\001\000\000\000\000\000\000\000\000\000\000\000*\000\003\000\000\000transforms=null;placement=optimized;seed=1ZBF"
+    );
+    ( { d with P.placement_budget = Some 8 },
+      "ZSRQ\001\000\001\000\002\000\000\000\000\000\000\000\232\003\000\000=\000\003\000\000\000transforms=null;placement=optimized;seed=1;placement_budget=8ZBF"
+    );
+    ( { d with P.placement_epsilon = Some 0.25 },
+      "ZSRQ\001\000\001\000\003\000\000\000\000\000\000\000\208\007\000\000A\000\003\000\000\000transforms=null;placement=optimized;seed=1;placement_epsilon=0.25ZBF"
+    );
+    ( { d with P.placement_weights = "sled=2,chain=8" },
+      "ZSRQ\001\000\001\000\004\000\000\000\000\000\000\000\184\011\000\000K\000\003\000\000\000transforms=null;placement=optimized;seed=1;placement_weights=sled=2,chain=8ZBF"
+    );
+    ( { d with P.ir_jobs = Some 4 },
+      "ZSRQ\001\000\001\000\005\000\000\000\000\000\000\000\160\015\000\0004\000\003\000\000\000transforms=null;placement=optimized;seed=1;ir_jobs=4ZBF"
+    );
+    ( { d with P.infer = Some true },
+      "ZSRQ\001\000\001\000\006\000\000\000\000\000\000\000\136\019\000\0002\000\003\000\000\000transforms=null;placement=optimized;seed=1;infer=1ZBF"
+    );
+    ( { d with P.infer = Some false },
+      "ZSRQ\001\000\001\000\007\000\000\000\000\000\000\000p\023\000\0002\000\003\000\000\000transforms=null;placement=optimized;seed=1;infer=0ZBF"
+    );
+    ( {
+        P.transforms = [ "cfi"; "stack-pad" ];
+        placement = "search";
+        seed = 42;
+        placement_budget = Some 16;
+        placement_epsilon = Some 0.1;
+        placement_weights = "sled=1,chain=16,page=64";
+        ir_jobs = Some 0;
+        infer = Some true;
+      },
+      "ZSRQ\001\000\001\000\b\000\000\000\000\000\000\000X\027\000\000\167\000\003\000\000\000transforms=cfi,stack-pad;placement=search;seed=42;placement_budget=16;placement_epsilon=0.10000000000000001;placement_weights=sled=1,chain=16,page=64;ir_jobs=0;infer=1ZBF"
+    );
+    ( { d with P.transforms = []; placement = "naive"; seed = 0 },
+      "ZSRQ\001\000\001\000\t\000\000\000\000\000\000\000@\031\000\000\"\000\003\000\000\000transforms=;placement=naive;seed=0ZBF"
+    );
+  ]
+
+let test_v1_frames () =
+  List.iteri
+    (fun i (rc, expected) ->
+      let req =
+        {
+          P.Request.id = Int64.of_int (i + 1);
+          deadline_us = 1000 * i;
+          op = P.Rewrite rc;
+          payload = "ZBF";
+        }
+      in
+      Alcotest.(check string) (Printf.sprintf "frame %d bytes" i) expected (P.encode_request req);
+      match P.read_request (P.input_of_string expected) with
+      | Ok got ->
+          Alcotest.(check bool) (Printf.sprintf "frame %d decodes" i) true (P.Request.equal req got)
+      | Error f -> Alcotest.failf "frame %d: %s" i (P.error_to_string f.P.error))
+    v1_frames
+
 (* -- codec: QCheck round-trip and never-raise fuzz -- *)
 
 let gen_request =
@@ -240,6 +306,56 @@ let test_config_forward_compat () =
   | Error { error = P.Malformed _; _ } -> ()
   | Error f -> Alcotest.failf "expected Malformed, got %s" (P.error_to_string f.P.error)
 
+(* -- knobs: a request over the daemon's defaults -- *)
+
+let test_options_merge_resolve () =
+  let module O = Zipr.Options in
+  let resolve = O.resolve ~resolve_transform:Transforms.Registry.by_name in
+  let defaults =
+    {
+      O.default with
+      placement_budget = Some 4;
+      placement_epsilon = Some 0.25;
+      placement_weights = "sled=2";
+      ir_jobs = Some 3;
+      infer = Some true;
+    }
+  in
+  let bare = { O.default with transforms = [ "cfi" ]; placement = "search"; seed = 7 } in
+  let all_set =
+    {
+      bare with
+      placement_budget = Some 9;
+      placement_epsilon = Some 0.5;
+      placement_weights = "chain=3";
+      ir_jobs = Some 2;
+      infer = Some false;
+    }
+  in
+  Alcotest.(check bool) "a request's set knobs all win" true (O.merge ~defaults all_set = all_set);
+  let merged = O.merge ~defaults bare in
+  Alcotest.(check bool) "unset knobs come from the defaults" true
+    (merged = { defaults with transforms = [ "cfi" ]; placement = "search"; seed = 7 });
+  (match resolve merged with
+  | Ok (config, transforms) ->
+      Alcotest.(check int) "ir_jobs" 3 config.Zipr.Pipeline.ir_jobs;
+      Alcotest.(check bool) "infer" true config.Zipr.Pipeline.infer;
+      Alcotest.(check int) "seed" 7 config.Zipr.Pipeline.seed;
+      Alcotest.(check (list string)) "transforms" [ "cfi" ]
+        (List.map (fun t -> t.Zipr.Transform.name) transforms)
+  | Error msg -> Alcotest.failf "merged knobs rejected: %s" msg);
+  (match resolve O.default with
+  | Ok (config, _) ->
+      Alcotest.(check int) "unset ir_jobs is serial" 1 config.Zipr.Pipeline.ir_jobs;
+      Alcotest.(check bool) "unset infer is off" false config.Zipr.Pipeline.infer
+  | Error msg -> Alcotest.failf "defaults rejected: %s" msg);
+  (match resolve { O.default with transforms = [ "cfi"; "nope"; "nah" ] } with
+  | Error msg -> Alcotest.(check string) "unknown transforms" "unknown transforms: nope, nah" msg
+  | Ok _ -> Alcotest.fail "unknown transforms accepted");
+  match resolve { O.default with placement = "search"; placement_budget = Some 0 } with
+  | Error msg -> Alcotest.(check string) "bad budget" "placement budget must be >= 1" msg
+  | Ok _ -> Alcotest.fail "budget 0 accepted"
+
 (* -- admission control -- *)
 
 let test_admission_bound () =
@@ -286,6 +402,8 @@ let with_server ?config f =
       Domain.join d;
       try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
     (fun () -> f server (Server.address server))
+
+let options transforms = { Zipr.Options.default with transforms }
 
 let workload_bytes (spec : Workloads.Synthetic.spec) =
   Bytes.unsafe_to_string (Zelf.Binary.serialize spec.Workloads.Synthetic.binary)
@@ -335,7 +453,7 @@ let test_served_byte_identity () =
                 let r =
                   expect_ok
                     (Printf.sprintf "%s (client %d)" name c)
-                    (Client.rewrite ~id:(Int64.of_int c) ~transforms:tnames addr data)
+                    (Client.rewrite ~id:(Int64.of_int c) ~options:(options tnames) addr data)
                 in
                 (name, r))
               cases
@@ -375,8 +493,8 @@ let test_served_byte_identity () =
 let test_shared_cache_hits () =
   let data = workload_bytes (Workloads.Synthetic.frag_like ~seed:12 ~tests:0 ()) in
   with_server (fun server addr ->
-      let r1 = expect_ok "first" (Client.rewrite ~transforms:[ "null" ] addr data) in
-      let r2 = expect_ok "second" (Client.rewrite ~transforms:[ "cfi" ] addr data) in
+      let r1 = expect_ok "first" (Client.rewrite ~options:(options [ "null" ]) addr data) in
+      let r2 = expect_ok "second" (Client.rewrite ~options:(options [ "cfi" ]) addr data) in
       let has_line needle stats =
         List.exists (String.equal needle) (String.split_on_char '\n' stats)
       in
@@ -407,14 +525,15 @@ let test_ir_jobs_override () =
   in
   with_server (fun _server addr ->
       let par =
-        expect_ok "override" (Client.rewrite ~ir_jobs:4 ~transforms:[ "cfi" ] addr data)
+        expect_ok "override"
+          (Client.rewrite ~options:{ (options [ "cfi" ]) with ir_jobs = Some 4 } addr data)
       in
       Alcotest.(check bool) "det.ir_jobs echoes the override" true
         (has_line "det.ir_jobs=4" par.P.Response.stats);
       Alcotest.(check bool) "override output byte-identical to offline" true
         (String.equal offline par.P.Response.payload);
       let default =
-        expect_ok "server default" (Client.rewrite ~transforms:[ "cfi" ] addr data)
+        expect_ok "server default" (Client.rewrite ~options:(options [ "cfi" ]) addr data)
       in
       Alcotest.(check bool) "no override: server default (serial)" true
         (has_line "det.ir_jobs=1" default.P.Response.stats);
@@ -450,7 +569,7 @@ let test_delta_disk_bound () =
           in
           let r =
             expect_ok v.Workloads.Versioned.name
-              (Client.rewrite ~transforms:[ "cfi" ] addr (Bytes.to_string data))
+              (Client.rewrite ~options:(options [ "cfi" ]) addr (Bytes.to_string data))
           in
           Alcotest.(check bool)
             (v.Workloads.Versioned.name ^ ": served output byte-identical")
@@ -470,13 +589,13 @@ let test_ping_echoes () =
 
 let test_server_rejects_nonsense () =
   with_server (fun _ addr ->
-      (match Client.rewrite ~transforms:[ "no-such-pass" ] addr "x" with
+      (match Client.rewrite ~options:(options [ "no-such-pass" ]) addr "x" with
       | Ok { P.Response.status = P.Bad_request; message; _ } ->
           Alcotest.(check bool) "names the unknown transform" true
             (String.length message > 0)
       | Ok r -> Alcotest.failf "expected bad_request, got %s" (P.status_to_string r.P.Response.status)
       | Error e -> Alcotest.failf "transport error: %s" e);
-      (match Client.rewrite ~transforms:[ "null" ] addr "this is not a binary" with
+      (match Client.rewrite ~options:(options [ "null" ]) addr "this is not a binary" with
       | Ok { P.Response.status = P.Bad_request; _ } -> ()
       | Ok r -> Alcotest.failf "expected bad_request, got %s" (P.status_to_string r.P.Response.status)
       | Error e -> Alcotest.failf "transport error: %s" e);
@@ -499,7 +618,7 @@ let test_server_too_large () =
   let config = { Server.default_config with Server.max_request_bytes = 2048 } in
   with_server ~config (fun _ addr ->
       match
-        Client.rewrite ~id:31L ~transforms:[ "null" ] addr (String.make 8192 'b')
+        Client.rewrite ~id:31L ~options:(options [ "null" ]) addr (String.make 8192 'b')
       with
       | Ok { P.Response.status = P.Too_large; id = 31L; _ } -> ()
       | Ok r -> Alcotest.failf "expected too_large, got %s" (P.status_to_string r.P.Response.status)
@@ -580,6 +699,7 @@ let suite =
       test_request_roundtrip;
     Alcotest.test_case "response frames round-trip at every chunking" `Quick
       test_response_roundtrip;
+    Alcotest.test_case "v1 request frames keep their bytes" `Quick test_v1_frames;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_reader_never_raises;
     Alcotest.test_case "every truncation point reads as an error" `Quick
@@ -589,6 +709,8 @@ let suite =
       test_too_large_recovers_id;
     Alcotest.test_case "unknown config keys ignored, bad values rejected" `Quick
       test_config_forward_compat;
+    Alcotest.test_case "request knobs merge over daemon defaults and resolve" `Quick
+      test_options_merge_resolve;
     Alcotest.test_case "admission enforces its bound" `Quick test_admission_bound;
     Alcotest.test_case "admission cancel frees the slot" `Quick test_admission_cancel;
     Alcotest.test_case "admission clamps a nonsense bound" `Quick test_admission_clamps_bound;
