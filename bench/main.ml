@@ -191,15 +191,12 @@ let e1 () =
    [--small] drops the 5x jvm-like workload so the smoke run stays cheap;
    [--jobs N] sets the worker-domain count for the corpus section (0 =
    auto-detect the core count);
-   [--ir-jobs N] sets the intra-binary IR worker count per rewrite (0 =
-   auto); output bytes are identical at any value;
    [--trace] installs an obs sink for the whole run — the aggregated
    per-phase table prints at the end, and with [--json] the report embeds
    into BENCH_throughput.json under the "obs" key. *)
 let json_mode = ref false
 let small_mode = ref false
 let jobs = ref 1
-let ir_jobs = ref 1
 let clients = ref 4
 let trace_mode = ref false
 
@@ -252,7 +249,7 @@ let corpus_section () =
   in
   let corpus_seed = 7 in
   let transforms = [ Transforms.Null.transform ] in
-  let config = { Zipr.Pipeline.default_config with Zipr.Pipeline.ir_jobs = !ir_jobs } in
+  let config = Zipr.Pipeline.default_config in
   let jobs_resolved = Zipr.Pipeline.resolve_jobs !jobs in
   let probe = Parallel.Corpus.rewrite_all ~jobs:1 ~config ~transforms ~corpus_seed all_items in
   let excluded =
@@ -430,9 +427,7 @@ let throughput () =
           s.Zipr.Reassemble.alloc_hits)
       rows;
     field "\n  ],\n";
-    field "  \"jobs\": %d,\n  \"ir_jobs\": %d,\n  \"corpus_items\": %d,\n" jobs_resolved
-      (Zipr.Pipeline.resolve_jobs !ir_jobs)
-      n_items;
+    field "  \"jobs\": %d,\n  \"corpus_items\": %d,\n" jobs_resolved n_items;
     field "  \"corpus_generated\": %d,\n  \"corpus_excluded\": [%s],\n" n_generated
       (String.concat ", "
          (List.map
@@ -454,9 +449,6 @@ let throughput () =
       cold.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s
       warm.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s;
     let ms = par.Parallel.Corpus.merged_stats in
-    field "  \"par_builds\": %d,\n  \"par_fallbacks\": %d,\n"
-      par.Parallel.Corpus.merged_cache.Zipr.Pipeline.par_builds
-      par.Parallel.Corpus.merged_cache.Zipr.Pipeline.par_fallbacks;
     field "  \"corpus\": {\n    \"ok\": %d, \"failed\": %d,\n" par.Parallel.Corpus.ok
       par.Parallel.Corpus.failed;
     field "    \"queue_wait_total_s\": %.6f, \"queue_wait_max_s\": %.6f,\n"
@@ -752,7 +744,6 @@ let serve_bench () =
     {
       Serve.Server.default_config with
       Serve.Server.jobs = Zipr.Pipeline.resolve_jobs !jobs;
-      defaults = { Zipr.Options.default with ir_jobs = Some !ir_jobs };
       queue_bound = max 4 (2 * !clients);
       delta = true;
     }
@@ -858,7 +849,6 @@ let serve_bench () =
     \  \"experiment\": \"serve\",\n\
     \  \"clients\": %d,\n\
     \  \"jobs\": %d,\n\
-    \  \"ir_jobs\": %d,\n\
     \  \"corpus_generated\": %d,\n\
     \  \"corpus_members\": %d,\n\
     \  %s,\n\
@@ -886,9 +876,7 @@ let serve_bench () =
     \  \"queue_bound\": %d,\n\
     \  \"queue_high_water\": %d\n\
      }\n"
-    !clients config.Serve.Server.jobs
-    (Zipr.Pipeline.resolve_jobs !ir_jobs)
-    corpus_generated (Array.length inputs)
+    !clients config.Serve.Server.jobs corpus_generated (Array.length inputs)
     (host_json ~corpus_size:(Array.length inputs))
     total ok rejects errors wall
     (float_of_int ok /. wall)
@@ -1274,114 +1262,8 @@ let placement_bench () =
          (100.0 *. reduction))
 
 (* ------------------------------------------------------------------ *)
-(* Irpar: intra-binary parallel IR construction                        *)
+(* Infer: the inference refiner                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* The gate for domain-parallel chunked IR construction: each member of
-   the large class (>= 256 KiB of fully recursively-reachable text, the
-   regime where the chunk fan-out pays) is rewritten with the serial IR
-   builder and with 4 IR worker domains, and the run {e fails} unless
-
-     - the summed IR-phase time speeds up by at least 2x,
-     - every parallel build engaged (zero stitch-validation fallbacks on
-       this class — its members are constructed to validate), and
-     - the outputs are byte-identical.
-
-   Each mode takes the best of several repetitions: IR construction is
-   the measured phase and the minimum is the least noisy estimator on a
-   shared CI box.  Always writes BENCH_irpar.json; the gates fire after
-   the report is written so the artifact survives a failing run. *)
-let irpar_bench () =
-  say "== Irpar: intra-binary parallel IR construction (large class, --ir-jobs 4) ==";
-  let members = if !small_mode then 2 else 4 in
-  let reps = if !small_mode then 3 else 5 in
-  let corpus = Workloads.Scale.large_corpus ~seed:1 ~count:members () in
-  let transforms = [ Transforms.Null.transform ] in
-  let rewrite ~ir_jobs binary =
-    let config = { Zipr.Pipeline.default_config with Zipr.Pipeline.ir_jobs } in
-    match Zipr.Pipeline.try_rewrite ~config ~transforms binary with
-    | Ok r -> r
-    | Error m -> failwith ("irpar bench: rewrite failed: " ^ m)
-  in
-  let best ~ir_jobs binary =
-    let out = ref Bytes.empty and ir = ref infinity and builds = ref 0 and fbs = ref 0 in
-    for _ = 1 to reps do
-      let r = rewrite ~ir_jobs binary in
-      ir := min !ir r.Zipr.Pipeline.timing.Zipr.Pipeline.ir_construction_s;
-      out := Zelf.Binary.serialize r.Zipr.Pipeline.rewritten;
-      builds := r.Zipr.Pipeline.cache.Zipr.Pipeline.par_builds;
-      fbs := r.Zipr.Pipeline.cache.Zipr.Pipeline.par_fallbacks
-    done;
-    (!out, !ir, !builds, !fbs)
-  in
-  let serial_ir = ref 0.0 and par_ir = ref 0.0 in
-  let par_builds = ref 0 and par_fallbacks = ref 0 in
-  let identical = ref true in
-  let rows =
-    List.map
-      (fun (it : Workloads.Scale.item) ->
-        let binary = it.Workloads.Scale.binary in
-        let text_bytes = (Zelf.Binary.text binary).Zelf.Section.size in
-        let out1, ir1, _, _ = best ~ir_jobs:1 binary in
-        let out4, ir4, b4, f4 = best ~ir_jobs:4 binary in
-        serial_ir := !serial_ir +. ir1;
-        par_ir := !par_ir +. ir4;
-        par_builds := !par_builds + b4;
-        par_fallbacks := !par_fallbacks + f4;
-        if not (Bytes.equal out1 out4) then identical := false;
-        let ratio = if ir4 > 0.0 then ir1 /. ir4 else 0.0 in
-        say "%-16s text %8d B  ir serial %8.4f s  ir par(4) %8.4f s  %6.2fx"
-          it.Workloads.Scale.name text_bytes ir1 ir4 ratio;
-        (it.Workloads.Scale.name, text_bytes, ir1, ir4))
-      corpus
-  in
-  let speedup = if !par_ir > 0.0 then !serial_ir /. !par_ir else 0.0 in
-  say "ir serial total       %10.4f s" !serial_ir;
-  say "ir parallel total     %10.4f s  (%d builds, %d fallbacks)" !par_ir !par_builds
-    !par_fallbacks;
-  say "ir speedup            %10.2fx  (floor 2x at --ir-jobs 4)" speedup;
-  say "outputs               %s" (if !identical then "byte-identical" else "DIVERGED");
-  let oc = open_out "BENCH_irpar.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"irpar\",\n\
-    \  \"members\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"ir_jobs\": 4,\n\
-    \  %s,\n\
-    \  \"rows\": [%s\n  ],\n\
-    \  \"serial_ir_s\": %.6f,\n\
-    \  \"par_ir_s\": %.6f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"byte_identical\": %b,\n\
-    \  \"par_builds\": %d,\n\
-    \  \"par_fallbacks\": %d\n\
-     }\n"
-    members reps
-    (host_json ~corpus_size:members)
-    (String.concat ","
-       (List.map
-          (fun (name, text_bytes, ir1, ir4) ->
-            Printf.sprintf
-              "\n    { \"name\": \"%s\", \"text_bytes\": %d, \"serial_ir_s\": %.6f, \
-               \"par_ir_s\": %.6f }"
-              (Obs.Tracer.json_escape name) text_bytes ir1 ir4)
-          rows))
-    !serial_ir !par_ir speedup !identical !par_builds !par_fallbacks;
-  close_out oc;
-  say "wrote BENCH_irpar.json (%d members, %d reps)" members reps;
-  if not !identical then failwith "irpar bench: outputs diverged between --ir-jobs 1 and 4";
-  if !par_fallbacks > 0 then
-    failwith
-      (Printf.sprintf "irpar bench: %d stitch-validation fallbacks on the large class"
-         !par_fallbacks);
-  if !par_builds < members then
-    failwith
-      (Printf.sprintf "irpar bench: only %d/%d members engaged the parallel builder"
-         !par_builds members);
-  if speedup < 2.0 then
-    failwith
-      (Printf.sprintf "irpar bench: IR speedup %.2fx below the 2x floor at --ir-jobs 4" speedup)
 
 (* Infer bench: the inference refiner ([--infer]) over libc-like plus
    the adversarial corpus.  For every workload it measures the
@@ -1595,7 +1477,6 @@ let experiments =
     ("serve", serve_bench);
     ("delta", delta_bench);
     ("placement", placement_bench);
-    ("irpar", irpar_bench);
     ("infer", infer_bench);
     ("micro", micro);
   ]
@@ -1616,12 +1497,6 @@ let () =
     | f :: rest when String.length f > 7 && String.sub f 0 7 = "--jobs=" ->
         jobs := max 0 (int_of_string (String.sub f 7 (String.length f - 7)));
         parse names rest
-    | "--ir-jobs" :: n :: rest ->
-        ir_jobs := max 0 (int_of_string n);
-        parse names rest
-    | f :: rest when String.length f > 10 && String.sub f 0 10 = "--ir-jobs=" ->
-        ir_jobs := max 0 (int_of_string (String.sub f 10 (String.length f - 10)));
-        parse names rest
     | "--count" :: n :: rest ->
         count_override := max 1 (int_of_string n);
         parse names rest
@@ -1639,8 +1514,8 @@ let () =
         parse names rest
     | f :: rest when String.length f > 2 && String.sub f 0 2 = "--" ->
         say
-          "unknown flag %S; available: --json, --small, --jobs N, --ir-jobs N, --clients N, \
-           --count N, --trace"
+          "unknown flag %S; available: --json, --small, --jobs N, --clients N, --count N, \
+           --trace"
           f;
         parse names rest
     | name :: rest -> parse (name :: names) rest

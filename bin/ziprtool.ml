@@ -133,30 +133,10 @@ let daemon_knobs =
              key=value pairs, e.g. sled=1,chain=16,relax=3,overflow=1,page=64. \
              Omitted keys keep their defaults.")
   in
-  let ir_jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ir-jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for intra-binary IR construction (default 1): the text is \
-             chunked, chunks are framed in parallel and the merge is accepted only \
-             after stitch validation (disagreement falls back to the serial build). \
-             0 auto-detects the core count. A served request resolves it on the \
-             server and echoes the result in det.ir_jobs. Output bytes are identical \
-             at any value.")
+  let make placement_budget placement_epsilon placement_weights infer =
+    { Zipr.Options.default with placement_budget; placement_epsilon; placement_weights; infer }
   in
-  let make placement_budget placement_epsilon placement_weights ir_jobs infer =
-    {
-      Zipr.Options.default with
-      placement_budget;
-      placement_epsilon;
-      placement_weights;
-      ir_jobs;
-      infer;
-    }
-  in
-  Term.(const make $ budget $ epsilon $ weights $ ir_jobs $ infer_arg)
+  Term.(const make $ budget $ epsilon $ weights $ infer_arg)
 
 let knobs =
   let transforms =
@@ -273,9 +253,6 @@ let rewrite_cmd =
               (float_of_int (nsize - osize) /. float_of_int osize *. 100.0);
             if stats then begin
               Format.printf "%a@." Zipr.Reassemble.pp_stats r.Zipr.Pipeline.stats;
-              Printf.printf "ir-jobs: %d resolved, %d parallel builds, %d fallbacks\n"
-                config.Zipr.Pipeline.ir_jobs r.Zipr.Pipeline.cache.Zipr.Pipeline.par_builds
-                r.Zipr.Pipeline.cache.Zipr.Pipeline.par_fallbacks;
               (* Aggregator per-case byte accounting (one line per
                  canonical tally field). *)
               List.iter
@@ -757,8 +734,18 @@ let serve_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Write a Chrome trace of all served requests on shutdown.")
   in
+  (* Accepted so existing daemon command lines keep starting; it has no
+     effect since cold IR construction has one path. *)
+  let ir_jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "ir-jobs" ] ~docv:"N"
+          ~deprecated:"ignored: IR construction no longer takes a worker count."
+          ~doc:"Ignored.")
+  in
   let run addr jobs defaults queue_bound max_request cache_entries cache_bytes cache_dir
-      cache_disk_entries cache_disk_bytes delta trace =
+      cache_disk_entries cache_disk_bytes delta trace (_ : int option) =
     (* Fail fast on bad default knobs, checked as a search request would
        use them, instead of per request. *)
     match (addr, resolve_knobs { defaults with Zipr.Options.placement = "search" }) with
@@ -818,7 +805,7 @@ let serve_cmd =
     Term.(
       const run $ addr_term $ jobs $ daemon_knobs $ queue_bound $ max_request
       $ cache_entries $ cache_bytes $ cache_dir $ cache_disk_entries $ cache_disk_bytes
-      $ delta $ trace)
+      $ delta $ trace $ ir_jobs)
 
 (* -- gencorpus -- *)
 

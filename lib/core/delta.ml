@@ -23,19 +23,16 @@
 
    Byte-identity with the cold path is by construction, not by luck:
 
-   - the stitched aggregate is only used when {e every} chunk passes a
-     validation that makes it provably equal to what {!Disasm.Aggregate.run}
-     would produce.  A fresh (cheap) recursive traversal is compared
-     bidirectionally against the stitched boundaries: every boundary must
-     be a recursive instruction with identical framing, every recursive
-     byte must be covered by a boundary, every gap byte unreached.  Under
-     those conditions the three cold sources are fully determined: linear
-     framing inside each chunk is a pure function of the key material
-     (the sweep enters each chunk at its base by induction over the
-     validated tiling), and the superset source abstains everywhere
-     recursive traversal reached and claims [Data] exactly on the
-     undecodable gap bytes.  So verdicts, boundaries and (absence of)
-     warnings coincide with the cold aggregate's.
+   - a stitch is only used when {e every} chunk passes a bidirectional
+     validation against a fresh (cheap) recursive traversal: every
+     boundary must be a traversal instruction with identical framing,
+     every reached byte covered by a boundary, every gap byte unreached.
+     Linear framing inside a chunk is a pure function of the key
+     material, and the global sweep enters each chunk at its base by
+     induction over the validated tiling, so linear sweep and traversal
+     then agree on every byte: exactly where {!Disasm.Aggregate.run}
+     itself returns {!Disasm.Aggregate.of_recursive}, the aggregate the
+     stitch builds.
 
    - the stitched aggregate then flows through the {e same}
      {!Ir_construction.build_from_aggregate} as a cold build.
@@ -50,10 +47,11 @@ module Rcache = Irdb.Rcache
 
 let codec_version = "ZIRDL1"
 
-type fragment = Stitch.fragment = { boundaries : (int * Zvm.Insn.t * int) array }
+type fragment = { boundaries : (int * Zvm.Insn.t * int) array }
 (* (chunk-relative start, instruction, encoded length), ascending,
-   non-overlapping, within the chunk.  The framing/validation machinery
-   lives in {!Stitch}, shared with the parallel IR builder. *)
+   non-overlapping, within the chunk. *)
+
+exception Fallback
 
 type t = {
   fragments : fragment Rcache.t;
@@ -193,6 +191,90 @@ let memo_key ~fp binary =
   Irdb.Cache.key
     [ codec_version ^ "/memo"; fp; Bytes.to_string (Zelf.Binary.serialize binary) ]
 
+(* ---------- per-chunk framing and validation ----------
+
+   A reusable claim buffer and expected-cover array, so a stitch over
+   thousands of chunks allocates once instead of once per chunk. *)
+
+type claims = { mutable items : (int * Zvm.Insn.t * int) array; mutable n : int }
+
+type scratch = { mutable expect : int array; claims : claims }
+
+let scratch () = { expect = [||]; claims = { items = [||]; n = 0 } }
+
+let push cl x =
+  (if cl.n = Array.length cl.items then begin
+     let grown = Array.make (max 64 (2 * cl.n)) x in
+     Array.blit cl.items 0 grown 0 cl.n;
+     cl.items <- grown
+   end);
+  cl.items.(cl.n) <- x;
+  cl.n <- cl.n + 1
+
+let take cl =
+  let out = Array.sub cl.items 0 cl.n in
+  cl.n <- 0;
+  out
+
+let expect_buf s n =
+  if Array.length s.expect < n then s.expect <- Array.make n (-1)
+  else Array.fill s.expect 0 n (-1);
+  s.expect
+
+(* Linear-framing decode of one chunk in isolation.  Equal to the global
+   sweep's framing inside the chunk because the sweep enters at [c.lo]
+   (guaranteed by the caller's induction over previously validated
+   chunks) and decode outcomes depend only on the bytes.  Raises
+   {!Fallback} if an instruction would cross the chunk's upper cut. *)
+let local_linear ?scratch binary ~text_end (c : Chunker.chunk) =
+  let text = Zelf.Binary.text binary in
+  let data = text.Zelf.Section.data and base = text.Zelf.Section.vaddr in
+  let cl =
+    match scratch with Some s -> s.claims | None -> { items = [||]; n = 0 }
+  in
+  let pos = ref c.Chunker.lo in
+  (try
+     while !pos < c.Chunker.hi do
+       match Zvm.Decode.decode_sub data ~pos:(!pos - base) ~limit:(text_end - base) with
+       | Ok (insn, ilen) ->
+           if !pos + ilen > c.Chunker.hi then raise Fallback;
+           push cl (!pos - c.Chunker.lo, insn, ilen);
+           pos := !pos + ilen
+       | Error _ -> incr pos
+     done
+   with Fallback ->
+     cl.n <- 0;
+     raise Fallback);
+  { boundaries = take cl }
+
+(* The stitched framing of a chunk is usable iff it coincides exactly
+   with recursive traversal inside the chunk: every boundary is a
+   recursive instruction with identical decode, every recursively
+   reached byte is covered by a boundary with that start, every gap
+   byte is unreached.  Raises {!Fallback} otherwise. *)
+let validate_chunk ?scratch (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) f =
+  let clen = c.Chunker.hi - c.Chunker.lo in
+  let expect =
+    match scratch with Some s -> expect_buf s clen | None -> Array.make clen (-1)
+  in
+  let prev_end = ref 0 in
+  Array.iter
+    (fun (rel, insn, ilen) ->
+      if rel < !prev_end || rel + ilen > clen then raise Fallback;
+      prev_end := rel + ilen;
+      (match Hashtbl.find_opt rec_.Disasm.Recursive.insns (c.Chunker.lo + rel) with
+      | Some (insn', ilen') when ilen' = ilen && insn' = insn -> ()
+      | _ -> raise Fallback);
+      for i = rel to rel + ilen - 1 do
+        expect.(i) <- c.Chunker.lo + rel
+      done)
+    f.boundaries;
+  let base = rec_.Disasm.Recursive.base in
+  for off = 0 to clen - 1 do
+    if rec_.Disasm.Recursive.cover.(c.Chunker.lo + off - base) <> expect.(off) then
+      raise Fallback
+  done
+
 (* ---------- partial rebuild + validation ---------- *)
 
 (* Store chunk [i]'s fragment under [keys.(i)] wherever there is one:
@@ -203,9 +285,9 @@ let store_fragments t keys frags =
   |> List.of_seq
   |> Rcache.store_all t.fragments
 
-(* Framing and validation are {!Stitch}'s (shared with the parallel IR
-   builder); this path runs them serially over the chunk array with one
-   reusable scratch. *)
+(* Frame the missed chunks and validate every chunk, with one reusable
+   scratch; a validated tiling's aggregate is the traversal's (see the
+   header). *)
 
 let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys frags =
   let text_end = scan.Chunker.base + scan.Chunker.len in
@@ -214,23 +296,23 @@ let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys
         let rec_ =
           Obs.span "recursive" (fun () -> Disasm.Recursive.traverse binary)
         in
-        let scratch = Stitch.scratch () in
+        let scratch = scratch () in
         let resolved =
           Array.mapi
             (fun i c ->
               match frags.(i) with
               | Some f -> (f, false)
-              | None -> (Stitch.local_linear ~scratch binary ~text_end c, true))
+              | None -> (local_linear ~scratch binary ~text_end c, true))
             scan.Chunker.chunks
         in
         Array.iteri
-          (fun i c -> Stitch.validate_chunk ~scratch rec_ c (fst resolved.(i)))
+          (fun i c -> validate_chunk ~scratch rec_ c (fst resolved.(i)))
           scan.Chunker.chunks;
-        resolved)
+        (rec_, resolved))
   with
-  | exception Stitch.Fallback -> None
-  | resolved ->
-      let agg = Stitch.assemble ~infer binary scan (Array.map fst resolved) in
+  | exception Fallback -> None
+  | rec_, resolved ->
+      let agg = Agg.of_recursive ~infer binary rec_ in
       let ir = Ir_construction.build_from_aggregate ~pin_config binary agg in
       store_fragments t chunk_keys
         (Array.map (fun (f, rebuilt) -> if rebuilt then Some f else None) resolved);

@@ -79,3 +79,27 @@ val harvest : ?snapshot:string -> t -> outcome -> Ir_construction.t -> unit
 val fragment_entries : t -> int
 val fragment_bytes : t -> int
 val memo_entries : t -> int
+
+(** {1 Stitch validation}, exposed for tests *)
+
+type fragment = { boundaries : (int * Zvm.Insn.t * int) array }
+(** A chunk's instruction framing: (chunk-relative start, instruction,
+    encoded length), ascending and non-overlapping. *)
+
+exception Fallback
+
+type scratch  (** reusable working memory, never shared across domains *)
+
+val local_linear :
+  ?scratch:scratch -> Zelf.Binary.t -> text_end:int -> Disasm.Chunker.chunk -> fragment
+(** Linear-framing decode of one chunk in isolation, equal to the global
+    sweep's framing inside the chunk when the sweep enters at its lower
+    cut.  Raises {!Fallback} if an instruction would cross the upper
+    cut. *)
+
+val validate_chunk :
+  ?scratch:scratch -> Disasm.Recursive.t -> Disasm.Chunker.chunk -> fragment -> unit
+(** Bidirectional check of one chunk's framing against the recursive
+    traversal: every boundary a traversal instruction with identical
+    decode, every reached byte covered, every gap byte unreached.
+    Raises {!Fallback} on any disagreement. *)

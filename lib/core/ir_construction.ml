@@ -209,7 +209,7 @@ let build ?pin_config ?(infer = false) binary =
 (* Bump whenever any serialized shape changes (including the row records
    in {!Irdb.Dump}): the version participates in the cache key, so old
    entries become unreachable instead of misparsed. *)
-let snapshot_version = "ZIRIR2"
+let snapshot_version = "ZIRIR3"
 
 (* The refinement pass's codec version.  It joins the fingerprint only
    when [--infer] is on, so every cache key (whole-binary snapshot,
@@ -261,7 +261,8 @@ let rec refined_runs = function
    in bits 0-1, length of the boundary instruction starting there in
    bits 2-4, 0 = none), the tally, refined runs, pin hints, aggregate
    and IR warnings, pins with reason codes, then the row records
-   ({!Irdb.Dump.add_rows}).  Integers are LEB128, strings and lists
+   ({!Irdb.Dump.add_rows}, which leaves out the instruction of every row
+   holding its boundary).  Integers are LEB128, strings and lists
    length-prefixed. *)
 let snapshot t =
   let agg = t.aggregate in
@@ -295,7 +296,7 @@ let snapshot t =
   list
     (fun (addr, reasons) -> uint addr; list (fun r -> u8 (reason_code r)) reasons)
     (Analysis.Ibt.pins t.pins);
-  Dump.add_rows buf t.db;
+  Dump.add_rows ~boundaries:agg.Agg.insn_at buf t.db;
   Bytebuf.to_string buf
 
 let restore binary payload =
@@ -367,7 +368,7 @@ let restore binary payload =
           let addr = uint () in
           (addr, list (fun () -> reason_of_code (Dump.read_u8 r))))
     in
-    let db = Dump.read_rows ~orig:binary r in
+    let db = Dump.read_rows ~boundaries:insn_at ~orig:binary r in
     if not (Dump.at_end r) then failwith "trailing bytes after the last record";
     let aggregate =
       {

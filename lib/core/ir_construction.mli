@@ -56,12 +56,14 @@ val build_from_aggregate :
     input bytes, and the delta path's whole-binary memo ({!Delta}) holds
     them too.
 
-    The payload is binary ([ZIRIR2], laid out in DESIGN.md §9.2).
+    The payload is binary ([ZIRIR3], laid out in DESIGN.md §9.2).
     Boundary instructions are not stored: restore decodes each one in
     place from the binary's text.  That is sound because the key covers
     the input bytes, and every aggregate boundary (linear, recursive,
     superset, inferred or stitched) is a decode of that text at that
-    offset. *)
+    offset.  Nor are the instructions of rows that still hold their
+    boundary's value (every row no mandatory transform rewrote): such a
+    row is flagged and restore hands it the boundary it just decoded. *)
 
 val snapshot_version : string
 (** Participates in the cache key, so a codec change silently invalidates

@@ -5,7 +5,6 @@ type t = {
   placement_budget : int option;
   placement_epsilon : float option;
   placement_weights : string;  (* "" = unset *)
-  ir_jobs : int option;
   infer : bool option;
 }
 
@@ -17,7 +16,6 @@ let default =
     placement_budget = None;
     placement_epsilon = None;
     placement_weights = "";
-    ir_jobs = None;
     infer = None;
   }
 
@@ -30,7 +28,6 @@ let merge ~defaults t =
     placement_weights =
       (if t.placement_weights <> "" then t.placement_weights
        else defaults.placement_weights);
-    ir_jobs = first t.ir_jobs defaults.ir_jobs;
     infer = first t.infer defaults.infer;
   }
 
@@ -50,7 +47,6 @@ let to_pairs t =
         opt "placement_epsilon" (Printf.sprintf "%.17g") t.placement_epsilon;
         (if t.placement_weights = "" then None
          else Some ("placement_weights", t.placement_weights));
-        opt "ir_jobs" string_of_int t.ir_jobs;
         opt "infer" (fun b -> if b then "1" else "0") t.infer;
       ]
 
@@ -75,7 +71,6 @@ let of_pairs pairs =
               | Some e -> Ok { t with placement_epsilon = Some e }
               | None -> Error (Printf.sprintf "%s is not a number: %S" k v))
           | "placement_weights" -> Ok { t with placement_weights = v }
-          | "ir_jobs" -> int k v (fun j -> { t with ir_jobs = Some j })
           | "infer" -> int k v (fun b -> { t with infer = Some (b <> 0) })
           | _ -> Ok t))
     (Ok default) pairs
@@ -94,7 +89,6 @@ let resolve ~resolve_transform t =
                 d with
                 Pipeline.placement;
                 seed = t.seed;
-                ir_jobs = Pipeline.resolve_jobs (Option.value t.ir_jobs ~default:d.ir_jobs);
                 infer = Option.value t.infer ~default:d.infer;
               },
               List.filter_map resolve_transform t.transforms ))

@@ -2,8 +2,8 @@
 
     One record carries every choice a user makes about a single rewrite
     — which transforms run, how dollops are placed, the layout seed and
-    the two IR-construction switches — exactly as the user gave them:
-    optional knobs stay [None] (or [""]) until set.  Every front end
+    the inference switch — exactly as the user gave them: optional
+    knobs stay [None] (or [""]) until set.  Every front end
     uses it: the CLI builds one from its flags, the wire protocol
     encodes it with {!to_pairs}/{!of_pairs}, the daemon {!merge}s a
     request over its own defaults, and each path ends in {!resolve}. *)
@@ -17,9 +17,6 @@ type t = {
   placement_weights : string;
       (** cost-model weight spec ({!Cost.weights_of_spec} syntax); [""]
           is unset.  May contain [','] and ['='] but never [';']. *)
-  ir_jobs : int option;
-      (** intra-binary IR construction workers ([0] = auto-detect);
-          unset means 1.  Output bytes never depend on it. *)
   infer : bool option;  (** the inference refiner ({!Disasm.Infer}); unset means off *)
 }
 
@@ -34,14 +31,15 @@ val merge : defaults:t -> t -> t
 val to_pairs : t -> (string * string) list
 (** The v1 wire keys, in wire order: [transforms] (comma-joined),
     [placement] and [seed] always, then [placement_budget],
-    [placement_epsilon] ([%.17g]), [placement_weights], [ir_jobs] and
-    [infer] ([0|1]) only when set, so a record that never mentions a
+    [placement_epsilon] ([%.17g]), [placement_weights] and [infer]
+    ([0|1]) only when set, so a record that never mentions a
     knob encodes byte-identically to frames older than the knob. *)
 
 val of_pairs : (string * string) list -> (t, string) result
 (** Inverse of {!to_pairs}, starting from {!default}: the last
     occurrence of a key wins, unknown keys are ignored (forward
-    compatibility), and a known key whose value does not parse is an
+    compatibility, and a retired key from an older client decodes as if
+    it were absent), and a known key whose value does not parse is an
     [Error] naming it. *)
 
 val resolve :
@@ -49,6 +47,6 @@ val resolve :
   t ->
   (Pipeline.config * Transform.t list, string) result
 (** The pipeline configuration and transforms these knobs ask for:
-    unset knobs take their defaults and [ir_jobs] goes through
-    {!Pipeline.resolve_jobs}.  [Error] carries a printable message: the
-    placement's ({!Placement.resolve}), else ["unknown transforms: ..."]. *)
+    unset knobs take their defaults.  [Error] carries a printable
+    message: the placement's ({!Placement.resolve}), else ["unknown
+    transforms: ..."]. *)

@@ -2,7 +2,6 @@ type config = {
   placement : Placement.t;
   pin_config : Analysis.Ibt.config;
   seed : int;
-  ir_jobs : int;
   infer : bool;
       (* run the inference refiner as a third disassembly source;
          off by default so every existing path is byte-identical *)
@@ -13,12 +12,11 @@ let default_config =
     placement = Placement.optimized;
     pin_config = Analysis.Ibt.default_config;
     seed = 1;
-    ir_jobs = 1;
     infer = false;
   }
 
-(* 0 means "ask the runtime" — shared by --jobs and --ir-jobs so every
-   knob resolves the same way and the resolved value can be surfaced. *)
+(* 0 means "ask the runtime", so every jobs knob resolves the same way
+   and the resolved value can be surfaced. *)
 let resolve_jobs j = if j = 0 then Domain.recommended_domain_count () else max 1 j
 
 type timing = {
@@ -33,8 +31,6 @@ type cache_stats = {
   routine_hits : int;
   routine_misses : int;
   delta_builds : int;
-  par_builds : int;
-  par_fallbacks : int;
 }
 
 type result = {
@@ -61,8 +57,6 @@ let zero_cache_stats =
     routine_hits = 0;
     routine_misses = 0;
     delta_builds = 0;
-    par_builds = 0;
-    par_fallbacks = 0;
   }
 
 let add_cache_stats a b =
@@ -72,8 +66,6 @@ let add_cache_stats a b =
     routine_hits = a.routine_hits + b.routine_hits;
     routine_misses = a.routine_misses + b.routine_misses;
     delta_builds = a.delta_builds + b.delta_builds;
-    par_builds = a.par_builds + b.par_builds;
-    par_fallbacks = a.par_fallbacks + b.par_fallbacks;
   }
 
 let timed f =
@@ -92,47 +84,27 @@ let ir_cache_key ~pin_config ~infer binary =
 (* IR acquisition: a cache hit restores the snapshot (skipping
    disassembly, pin analysis and IR build); a miss — or a payload the
    codec rejects — builds cold and (re)publishes the snapshot.  Either
-   way [ir_construction_s] times whichever path actually ran.
-
-   With [ir_jobs > 1], a cold build first tries the domain-parallel
-   chunked construction ({!Par_ir}); when its stitch validation
-   declines, the serial cold build runs instead and the fallback is
-   counted — outputs are byte-identical on both paths, so the snapshot
-   cache key does not depend on [ir_jobs].  With a cache, the payload
-   stored or restored comes back too, for the delta memo to share. *)
-let obtain_snapshot_ir ?ir_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config binary =
-  let par_builds = ref 0 and par_fallbacks = ref 0 in
-  let build_ir () =
-    if ir_jobs > 1 then
-      match Par_ir.build ~jobs:ir_jobs ~pin_config ~infer binary with
-      | Some ir ->
-          incr par_builds;
-          Obs.count "pipeline.par_builds" 1;
-          ir
-      | None ->
-          incr par_fallbacks;
-          Obs.count "pipeline.par_fallbacks" 1;
-          Ir_construction.build ~pin_config ~infer binary
-    else Ir_construction.build ~pin_config ~infer binary
-  in
-  let build ~source () =
-    timed (fun () -> Obs.span "ir" ~args:[ ("source", source) ] build_ir)
-  in
-  let par_stats s =
-    { s with par_builds = !par_builds; par_fallbacks = !par_fallbacks }
+   way [ir_construction_s] times whichever path actually ran.  With a
+   cache, the payload stored or restored comes back too, for the delta
+   memo to share. *)
+let obtain_snapshot_ir ?ir_cache ?(infer = false) ~pin_config binary =
+  let build () =
+    timed (fun () ->
+        Obs.span "ir" ~args:[ ("source", "build") ] (fun () ->
+            Ir_construction.build ~pin_config ~infer binary))
   in
   match ir_cache with
   | None ->
-      let ir, t = build ~source:"build" () in
-      (ir, t, par_stats zero_cache_stats, None)
+      let ir, t = build () in
+      (ir, t, zero_cache_stats, None)
   | Some cache -> (
       let key = ir_cache_key ~pin_config ~infer binary in
       let build_and_store () =
-        let ir, t = build ~source:"build" () in
+        let ir, t = build () in
         let payload = Ir_construction.snapshot ir in
         Irdb.Cache.store cache ~key payload;
         Obs.count "pipeline.ir_cache_misses" 1;
-        (ir, t, par_stats { zero_cache_stats with ir_cache_misses = 1 }, Some payload)
+        (ir, t, { zero_cache_stats with ir_cache_misses = 1 }, Some payload)
       in
       match Irdb.Cache.find cache key with
       | None -> build_and_store ()
@@ -153,12 +125,10 @@ let obtain_snapshot_ir ?ir_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config bin
    cold build take over as before, and the result is harvested back into
    the routine cache — before any transform can touch it — sharing the
    snapshot cache's payload, so a cold miss snapshots the IR once. *)
-let obtain_ir ?ir_cache ?routine_cache ?ir_jobs ?(infer = false) ~pin_config binary =
+let obtain_ir ?ir_cache ?routine_cache ?(infer = false) ~pin_config binary =
   match routine_cache with
   | None ->
-      let ir, t, stats, _ =
-        obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
-      in
+      let ir, t, stats, _ = obtain_snapshot_ir ?ir_cache ~infer ~pin_config binary in
       (ir, t, stats)
   | Some dc -> (
       let outcome, t0 =
@@ -178,7 +148,7 @@ let obtain_ir ?ir_cache ?routine_cache ?ir_jobs ?(infer = false) ~pin_config bin
       | Some ir -> (ir, t0, dstats)
       | None ->
           let ir, t1, cstats, snapshot =
-            obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
+            obtain_snapshot_ir ?ir_cache ~infer ~pin_config binary
           in
           Delta.harvest ?snapshot dc outcome ir;
           (ir, t0 +. t1, add_cache_stats dstats cstats))
@@ -199,9 +169,8 @@ let apply_transforms transforms db =
 let rewrite ?(config = default_config) ?ir_cache ?routine_cache ~transforms binary =
   Obs.span "rewrite" (fun () ->
       let ir, ir_construction_s, cache =
-        obtain_ir ?ir_cache ?routine_cache
-          ~ir_jobs:(resolve_jobs config.ir_jobs)
-          ~infer:config.infer ~pin_config:config.pin_config binary
+        obtain_ir ?ir_cache ?routine_cache ~infer:config.infer
+          ~pin_config:config.pin_config binary
       in
       let (), transformation_s =
         timed (fun () -> apply_transforms transforms ir.Ir_construction.db)

@@ -5,13 +5,6 @@ type config = {
   placement : Placement.t;
   pin_config : Analysis.Ibt.config;
   seed : int;  (** drives layout diversity under the random strategy *)
-  ir_jobs : int;
-      (** worker domains for intra-binary IR construction ({!Par_ir}):
-          1 = the exact serial cold build, [>= 2] = domain-parallel
-          chunked construction with stitch-validated merge (byte-identical
-          output, serial fallback on validation failure), 0 = auto-detect
-          [Domain.recommended_domain_count].  Independent of any
-          corpus-level [--jobs]. *)
   infer : bool;
       (** run the {!Disasm.Infer} fact-propagation pass as a third
           (refiner) disassembly source.  Off by default; when off every
@@ -24,8 +17,8 @@ type config = {
 }
 
 val default_config : config
-(** Optimized placement, conservative pinning, seed 1, serial IR, no
-    inference refiner. *)
+(** Optimized placement, conservative pinning, seed 1, no inference
+    refiner. *)
 
 val resolve_jobs : int -> int
 (** The shared 0-means-auto rule for every jobs knob: [0] resolves to
@@ -52,16 +45,11 @@ type cache_stats = {
   routine_hits : int;  (** routine chunks served from the delta cache *)
   routine_misses : int;  (** routine chunks rebuilt (or all, on fallback) *)
   delta_builds : int;  (** rewrites whose IR came from a partial stitch *)
-  par_builds : int;  (** cold builds served by the parallel chunked path *)
-  par_fallbacks : int;
-      (** parallel builds whose stitch validation declined (the serial
-          cold build ran instead — slower, byte-identical) *)
 }
 (** Per-rewrite cache outcome.  [ir_cache_*] report the snapshot cache
     (at most one of the two is 1, both 0 when no cache was supplied);
     the [routine_*] and [delta_builds] fields report the routine-granular
-    delta cache; [par_*] report the {!config.ir_jobs} parallel IR path.
-    Aggregated over a corpus with {!add_cache_stats}. *)
+    delta cache.  Aggregated over a corpus with {!add_cache_stats}. *)
 
 val zero_cache_stats : cache_stats
 val add_cache_stats : cache_stats -> cache_stats -> cache_stats
@@ -91,6 +79,10 @@ val rewrite :
   result
 (** Rewrite a binary.  Raises {!Reassemble.Failure_} on unrecoverable
     reassembly problems.
+
+    A cold IR build is {!Ir_construction.build} on every input; its
+    disassembly skips the superset decode and combine where the two
+    sweeps agree ({!Disasm.Aggregate.run}).
 
     With [ir_cache], IR construction is served from the cache when the
     {!ir_cache_key} hits: disassembly, pinned-address analysis and IR

@@ -47,14 +47,6 @@ let merge_stats a b =
     refined_by_fact = merge_facts a.refined_by_fact b.refined_by_fact;
   }
 
-(* Verdict-only tally for aggregates materialized from a validated
-   traversal (stitch/parallel paths): no disagreement by construction, so
-   every byte is case 1. *)
-let tally_of_verdicts verdicts =
-  let code = ref 0 and data = ref 0 in
-  Array.iter (function Code -> incr code | Data -> incr data | Ambiguous -> ()) verdicts;
-  { tally_zero with case1_code = !code; case1_data = !data }
-
 let tally_fields t =
   [
     ("case1_code", t.case1_code);
@@ -366,20 +358,62 @@ let combine_sources binary (sources : Source.t list) =
 let combine binary (lin : Linear.t) (rec_ : Recursive.t) =
   combine_sources binary [ Source.of_linear lin; Source.of_recursive rec_ ]
 
+(* The aggregate of a traversal that left nothing to decide: Code exactly
+   on the reached bytes, its instructions as the boundaries, Data
+   elsewhere, every byte case 1.  Under [~infer:true] there is no
+   ambiguous byte for a refiner to flip, so the inference pass reduces to
+   one computed-target resolution round over these boundaries. *)
+let of_recursive ?(infer = false) binary (rec_ : Recursive.t) =
+  let len = rec_.Recursive.len in
+  let verdicts = Array.make len Data in
+  let code = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if c >= 0 then begin
+        verdicts.(i) <- Code;
+        incr code
+      end)
+    rec_.Recursive.cover;
+  let insn_at = Hashtbl.copy rec_.Recursive.insns in
+  {
+    base = rec_.Recursive.base;
+    len;
+    verdicts;
+    insn_at;
+    warnings = [];
+    tally = { tally_zero with case1_code = !code; case1_data = len - !code };
+    refined = [];
+    pin_hints = (if infer then Infer.resolve_pins binary ~insns:insn_at else []);
+  }
+
 let run ?(infer = false) binary =
   let lin = Obs.span "linear" (fun () -> Linear.sweep binary) in
   let rec_ = Obs.span "recursive" (fun () -> Recursive.traverse binary) in
-  let spec = Obs.span "superset" (fun () -> Superset.run binary ~avoid:rec_) in
-  (* Priority (lowest first): linear, superset, recursive — so recursive
-     boundaries win, with superset refining the regions it never reached.
-     The inference refiner, when enabled, rides along as evidence only. *)
-  let sources = [ Source.of_linear lin; spec; Source.of_recursive rec_ ] in
-  if infer then begin
-    let inf = Obs.span "infer" (fun () -> Infer.run binary ~avoid:rec_) in
-    let agg = Obs.span "combine" (fun () -> combine_sources binary (sources @ [ inf.Infer.source ])) in
-    { agg with pin_hints = inf.Infer.pin_hints }
+  (* Neither sweep records overlapping instructions, so equal covers mean
+     equal boundaries and decodes.  Every reached byte is then agreed code
+     and every other byte failed to decode where the sweep stood on it,
+     so no superset candidate starts outside the traversal: the superset
+     source would claim Data on exactly the gaps, and combine would judge
+     every byte case 1 with nothing left for a refiner. *)
+  if lin.Linear.cover = rec_.Recursive.cover then begin
+    Obs.count "disasm.validated" 1;
+    Obs.span "validated" (fun () -> of_recursive ~infer binary rec_)
   end
-  else Obs.span "combine" (fun () -> combine_sources binary sources)
+  else begin
+    let spec = Obs.span "superset" (fun () -> Superset.run binary ~avoid:rec_) in
+    (* Priority (lowest first): linear, superset, recursive — so recursive
+       boundaries win, with superset refining the regions it never reached.
+       The inference refiner, when enabled, rides along as evidence only. *)
+    let sources = [ Source.of_linear lin; spec; Source.of_recursive rec_ ] in
+    if infer then begin
+      let inf = Obs.span "infer" (fun () -> Infer.run binary ~avoid:rec_) in
+      let agg =
+        Obs.span "combine" (fun () -> combine_sources binary (sources @ [ inf.Infer.source ]))
+      in
+      { agg with pin_hints = inf.Infer.pin_hints }
+    end
+    else Obs.span "combine" (fun () -> combine_sources binary sources)
+  end
 
 let verdict_at t addr =
   if addr < t.base || addr >= t.base + t.len then None else Some t.verdicts.(addr - t.base)

@@ -46,10 +46,6 @@ type tally = {
 
 val tally_zero : tally
 val merge_stats : tally -> tally -> tally
-val tally_of_verdicts : verdict array -> tally
-(** All-case-1 tally of a verdict array with no ambiguity (aggregates
-    materialized from a validated traversal). *)
-
 val tally_fields : tally -> (string * int) list
 (** Canonical [(key, value)] rendering shared by [--stats], the server's
     [det.*] lines and bench JSON. *)
@@ -73,9 +69,19 @@ type t = {
 }
 
 val run : ?infer:bool -> Zelf.Binary.t -> t
-(** Run all three disassemblers (linear sweep, recursive traversal,
-    superset) and aggregate; with [~infer:true] (default false) the
-    {!Infer} fact-propagation pass rides along as a refiner source. *)
+(** Run linear sweep and recursive traversal.  When their covers agree
+    on every byte nothing is left to decide, and the result is
+    {!of_recursive} (counted as [disasm.validated]); otherwise the
+    superset source joins them and {!combine_sources} aggregates, with
+    [~infer:true] (default false) adding the {!Infer} pass as a refiner
+    source. *)
+
+val of_recursive : ?infer:bool -> Zelf.Binary.t -> Recursive.t -> t
+(** The aggregate of a traversal linear sweep agrees with: Code on the
+    reached bytes with the traversal's instructions as boundaries, Data
+    elsewhere, all case 1, no warnings; with [~infer:true], pin hints
+    from {!Infer.resolve_pins} over those boundaries.  {!run} and the
+    delta cache's validated stitch use it. *)
 
 val combine : Zelf.Binary.t -> Linear.t -> Recursive.t -> t
 (** Two-way aggregation, for tests that want to inject disassembler

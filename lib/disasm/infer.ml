@@ -299,10 +299,10 @@ let resolve_site binary ~insns ~joins ~pred ~lo ~hi site reg =
   | _ -> None
 
 (* Resolved in-text targets of every register-indirect site in a
-   {e validated} instruction map (no ambiguity anywhere), sorted: the
-   stitched aggregation paths (Delta, Par_ir) use this to reproduce the
-   pin hints the full inference pass derives on the cold path, which on
-   validated binaries performs exactly this one resolution round. *)
+   {e validated} instruction map (no ambiguity anywhere), sorted:
+   [Aggregate.of_recursive] uses this to reproduce the pin hints the full
+   inference pass derives, which on validated binaries performs exactly
+   this one resolution round. *)
 let resolve_pins binary ~insns =
   let text = Zelf.Binary.text binary in
   let lo = text.Zelf.Section.vaddr and hi = Zelf.Section.vend text in

@@ -179,7 +179,6 @@ let rewrite_spec ~ir_cache opts counters spec cfg =
             | None -> Zipr.Placement.optimized);
           pin_config = Analysis.Ibt.default_config;
           seed = cfg.layout_seed;
-          ir_jobs = 1;
           infer = opts.infer;
         }
       in

@@ -178,7 +178,18 @@ let read_string r =
 
 let flag bit = function Some _ -> bit | None -> 0
 
-let add_rows buf db =
+(* A row holding the very value of the boundary at its address: the
+   build hands each row its boundary's instruction, and restore does the
+   same, so [==] finds every row a transform has not rewritten. *)
+let is_boundary boundaries (r : Db.row) =
+  match r.Db.orig_addr with
+  | None -> false
+  | Some a -> (
+      match Hashtbl.find boundaries a with
+      | insn, _ -> insn == r.Db.insn
+      | exception Not_found -> false)
+
+let add_rows ~boundaries buf db =
   (match Db.entry db with
   | -1 -> Bytebuf.u8 buf 0
   | e ->
@@ -190,14 +201,18 @@ let add_rows buf db =
   Db.iter db (fun r ->
       (* Ids are the record order, so a removed row cannot be written. *)
       if r.Db.id >= n then invalid_arg "Dump.add_rows: row ids are not dense";
+      let shared = is_boundary boundaries r in
       Bytebuf.u8 buf
         ((if r.Db.fixed then 1 else 0)
         lor flag 2 r.Db.fallthrough lor flag 4 r.Db.target lor flag 8 r.Db.pinned
-        lor flag 16 r.Db.orig_addr lor flag 32 r.Db.func);
-      let at = Bytebuf.length buf in
-      Bytebuf.u8 buf 0;
-      Zvm.Encode.encode buf r.Db.insn;
-      Bytebuf.patch_u8 buf at (Bytebuf.length buf - at - 1);
+        lor flag 16 r.Db.orig_addr lor flag 32 r.Db.func
+        lor if shared then 64 else 0);
+      if not shared then begin
+        let at = Bytebuf.length buf in
+        Bytebuf.u8 buf 0;
+        Zvm.Encode.encode buf r.Db.insn;
+        Bytebuf.patch_u8 buf at (Bytebuf.length buf - at - 1)
+      end;
       field r.Db.fallthrough;
       field r.Db.target;
       field r.Db.pinned;
@@ -214,26 +229,23 @@ let add_rows buf db =
   add_uint buf (List.length marks);
   List.iter (add_uint buf) marks
 
-let read_rows ~orig r =
+let read_rows ~boundaries ~orig r =
   let entry =
     match read_u8 r with 0 -> None | 1 -> Some (read_uint r) | _ -> failwith "bad entry flag"
   in
   let n = read_uint r in
-  (* Each record takes at least three bytes, so a count the payload cannot
-     hold is refused before it sizes the tables. *)
-  if n > (String.length r.src - r.pos) / 3 then failwith "row count exceeds the payload";
+  (* Each record takes at least two bytes (a boundary row's flags and
+     address), so a count the payload cannot hold is refused before it
+     sizes the tables. *)
+  if n > (String.length r.src - r.pos) / 2 then failwith "row count exceeds the payload";
   let db = Db.create ~size_hint:n ~orig () in
   let code = Bytes.unsafe_of_string r.src in
   let max_func = ref (-1) in
   for _ = 1 to n do
     let flags = read_u8 r in
-    if flags >= 64 then failwith "bad row flags";
-    let len = read_u8 r in
-    let insn =
-      match Zvm.Decode.decode_sub code ~pos:r.pos ~limit:(r.pos + len) with
-      | Ok (insn, l) when l = len -> insn
-      | _ -> failwith (Printf.sprintf "row instruction at payload offset %d does not decode" r.pos)
-    in
+    if flags >= 128 then failwith "bad row flags";
+    let len = if flags land 64 = 0 then read_u8 r else 0 in
+    let at = r.pos in
     r.pos <- r.pos + len;
     (* Spelled out, not a local function: with a closure per row a
        restore allocated 40% more and ran markedly slower. *)
@@ -242,6 +254,19 @@ let read_rows ~orig r =
     let pinned = if flags land 8 = 0 then None else Some (read_uint r) in
     let orig_addr = if flags land 16 = 0 then None else Some (read_uint r) in
     let func = if flags land 32 = 0 then None else Some (read_uint r) in
+    let insn =
+      if flags land 64 = 0 then
+        match Zvm.Decode.decode_sub code ~pos:at ~limit:(at + len) with
+        | Ok (insn, l) when l = len -> insn
+        | _ -> failwith (Printf.sprintf "row instruction at payload offset %d does not decode" at)
+      else
+        match orig_addr with
+        | None -> failwith "a boundary row has no address"
+        | Some a -> (
+            match Hashtbl.find boundaries a with
+            | insn, _ -> insn
+            | exception Not_found -> failwith (Printf.sprintf "no boundary at 0x%x for its row" a))
+    in
     let id = Db.add_insn ?orig_addr db insn in
     let row = Db.row db id in
     row.Db.fallthrough <- fallthrough;

@@ -32,7 +32,7 @@ val deserialize : orig:Zelf.Binary.t -> string -> (Db.t, string) result
 (** {2 Binary row records}
 
     The rows of a binary IR snapshot ([Ir_construction.snapshot], version
-    [ZIRIR2]); the rest of that payload belongs to [Ir_construction],
+    [ZIRIR3]); the rest of that payload belongs to [Ir_construction],
     which shares the integer and string primitives below.  A snapshot
     must restore to the same bytes as the db that produced it, so row
     ids (placement iterates them in order), every pin mark (including
@@ -42,9 +42,11 @@ val deserialize : orig:Zelf.Binary.t -> string -> (Db.t, string) result
     one record per row in id order, the functions in fid order (name,
     entry row), and the marked pins.  A row record is a flags byte (bit
     0 [fixed]; bits 1-5 say which of [fallthrough], [target], [pinned],
-    [orig_addr] and [func] follow), the instruction's encoded length and
-    bytes, then the present fields.  Integers are LEB128; strings are
-    length-prefixed.  Row and function ids are the record order. *)
+    [orig_addr] and [func] follow; bit 6 says the row holds the boundary
+    instruction at its [orig_addr]), then, unless bit 6 is set, the
+    instruction's encoded length and bytes, then the present fields.
+    Integers are LEB128; strings are length-prefixed.  Row and function
+    ids are the record order. *)
 
 type reader
 (** A cursor over a payload.  Reads past its end raise
@@ -58,13 +60,21 @@ val read_uint : reader -> int
 val add_string : Zipr_util.Bytebuf.t -> string -> unit
 val read_string : reader -> string
 
-val add_rows : Zipr_util.Bytebuf.t -> Db.t -> unit
-(** Append the db's row records.  Raises [Invalid_argument] if a row was
-    removed, since ids are not written. *)
+val add_rows :
+  boundaries:(int, Zvm.Insn.t * int) Hashtbl.t -> Zipr_util.Bytebuf.t -> Db.t -> unit
+(** Append the db's row records.  [boundaries] maps addresses to the
+    instruction decoded there (the aggregate's boundary table): a row
+    whose instruction is physically that value at its [orig_addr] gets
+    bit 6 and no instruction bytes.  Raises [Invalid_argument] if a row
+    was removed, since ids are not written. *)
 
-val read_rows : orig:Zelf.Binary.t -> reader -> Db.t
-(** Rebuild a db from [add_rows] output, decoding each instruction in
-    place from the payload.  Raises [Failure] when an instruction does
-    not decode to its recorded length, a row names an undeclared
-    function, or {!Db.validate} reports an issue (dead links, a pin
-    table disagreement, a dead entry). *)
+val read_rows :
+  boundaries:(int, Zvm.Insn.t * int) Hashtbl.t -> orig:Zelf.Binary.t -> reader -> Db.t
+(** Rebuild a db from [add_rows] output.  A bit-6 row takes its
+    instruction from [boundaries] (the table restore has already decoded
+    from the input and length-checked); any other row decodes its bytes
+    in place from the payload.  Raises [Failure] when an instruction does
+    not decode to its recorded length, a bit-6 row has no [orig_addr] or
+    no boundary at it, a flags byte is 128 or more, a row names an
+    undeclared function, or {!Db.validate} reports an issue (dead links,
+    a pin table disagreement, a dead entry). *)

@@ -154,8 +154,7 @@ let pp_report ppf r =
      merged: %a@,\
      merged timing: ir %.3fs transform %.3fs reassembly %.3fs@,\
      ir-cache: %d hits, %d misses@,\
-     routine-cache: %d hits, %d misses, %d delta builds@,\
-     par-ir: %d parallel builds, %d fallbacks@,"
+     routine-cache: %d hits, %d misses, %d delta builds@,"
     (r.ok + r.failed) r.ok r.failed r.jobs r.corpus_seed r.wall_clock_s r.pool_spawn_s
     r.rewrite_total_s r.queue_wait_total_s r.queue_wait_max_s Zipr.Reassemble.pp_stats
     r.merged_stats r.merged_timing.Zipr.Pipeline.ir_construction_s
@@ -163,8 +162,7 @@ let pp_report ppf r =
     r.merged_timing.Zipr.Pipeline.reassembly_s r.merged_cache.Zipr.Pipeline.ir_cache_hits
     r.merged_cache.Zipr.Pipeline.ir_cache_misses
     r.merged_cache.Zipr.Pipeline.routine_hits r.merged_cache.Zipr.Pipeline.routine_misses
-    r.merged_cache.Zipr.Pipeline.delta_builds r.merged_cache.Zipr.Pipeline.par_builds
-    r.merged_cache.Zipr.Pipeline.par_fallbacks;
+    r.merged_cache.Zipr.Pipeline.delta_builds;
   (* Aggregator byte accounting, merged over the corpus with the tally
      monoid — independent of job count and completion order. *)
   Format.fprintf ppf "merged aggregation:%s@,"

@@ -83,12 +83,9 @@ val rewrite_all :
     (whose [seed] field is overridden per binary by the derived shard
     seed), no transforms.  [jobs = 0] auto-detects
     [Domain.recommended_domain_count]; the resolved value lands in
-    [report.jobs].  [config.ir_jobs] additionally parallelizes IR
-    construction {e inside} each binary (see {!Zipr.Par_ir}) — outputs
-    are byte-identical at any combination of the two knobs.  [entries],
-    [merged_stats] and [merged_timing] are a pure function of
-    [(items, config, transforms, corpus_seed)] — the timing floats
-    excepted.
+    [report.jobs].  [entries], [merged_stats] and [merged_timing] are a
+    pure function of [(items, config, transforms, corpus_seed)] — the
+    timing floats excepted.
 
     [ir_cache] is shared by every worker domain (the cache is
     mutex-protected): repeat rewrites of a binary already in the cache

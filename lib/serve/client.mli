@@ -28,8 +28,7 @@ val rewrite :
     {!Zipr.Options.default} asks for what [ziprtool rewrite] does with no
     flags, so a served rewrite is byte-comparable to the offline CLI.
     The server validates the knobs ([Bad_request] on an unknown transform
-    or a malformed search knob); [ir_jobs] changes timing only, never the
-    output bytes. *)
+    or a malformed search knob). *)
 
 val ping :
   ?sleep_us:int ->

@@ -55,7 +55,6 @@ type rewrite_config = Zipr.Options.t = {
   placement_budget : int option;
   placement_epsilon : float option;
   placement_weights : string;
-  ir_jobs : int option;
   infer : bool option;
 }
 

@@ -27,7 +27,6 @@ type rewrite_config = Zipr.Options.t = {
   placement_budget : int option;
   placement_epsilon : float option;
   placement_weights : string;
-  ir_jobs : int option;
   infer : bool option;
 }
 (** A rewrite request's knobs, re-exported from {!Zipr.Options.t}.  The

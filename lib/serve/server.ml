@@ -265,7 +265,6 @@ let stats_text ~(rc : Zipr.Options.t) ~(config : Zipr.Pipeline.config) ~input_by
       Printf.sprintf "det.dollops_split=%d\n" rs.Zipr.Reassemble.dollops_split;
       Printf.sprintf "det.infer=%d\n" (if config.Zipr.Pipeline.infer then 1 else 0);
       Printf.sprintf "det.input_bytes=%d\n" input_bytes;
-      Printf.sprintf "det.ir_jobs=%d\n" config.Zipr.Pipeline.ir_jobs;
       Printf.sprintf "det.output_bytes=%d\n" output_bytes;
       Printf.sprintf "det.page_misses=%d\n" rs.Zipr.Reassemble.page_misses;
       Printf.sprintf "det.pins_colocated=%d\n" rs.Zipr.Reassemble.pins_colocated;
@@ -289,8 +288,8 @@ let stats_text ~(rc : Zipr.Options.t) ~(config : Zipr.Pipeline.config) ~input_by
     ]
 
 (* The request's set knobs win over the daemon's defaults; the
-   effective ir_jobs and infer are echoed in det.ir_jobs and det.infer so
-   clients can confirm what the server actually ran with. *)
+   effective infer is echoed in det.infer so clients can confirm what
+   the server actually ran with. *)
 let exec_rewrite t ~id ~queue_wait_us (rc : Zipr.Options.t) payload =
   let rc = Zipr.Options.merge ~defaults:t.cfg.defaults rc in
   match Zipr.Options.resolve ~resolve_transform:t.resolve rc with

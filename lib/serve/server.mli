@@ -42,17 +42,16 @@ type config = {
   defaults : Zipr.Options.t;
       (** the optional knobs a request leaves unset; a request's set
           knobs win, and its transforms, placement and seed always do
-          ({!Zipr.Options.merge}).  The effective [ir_jobs] and [infer]
-          are echoed in the response's [det.ir_jobs] and [det.infer]
-          lines; output bytes never depend on [ir_jobs]. *)
+          ({!Zipr.Options.merge}).  The effective [infer] is echoed in
+          the response's [det.infer] line. *)
 }
 
 val default_config : config
 (** jobs 2, queue bound 32, 64 MiB max request, 256-entry / 64 MiB
     memory-only cache (disk layer unbounded when enabled), delta off,
-    {!Zipr.Options.default} (serial IR construction, inference refiner
-    off).  Fixed: a connection that goes quiet for 10 s mid-frame is
-    dropped, and a ping sleeps at most 30 s. *)
+    {!Zipr.Options.default} (inference refiner off).  Fixed: a
+    connection that goes quiet for 10 s mid-frame is dropped, and a ping
+    sleeps at most 30 s. *)
 
 type stats = {
   accepted : int;  (** request frames that decoded successfully *)

@@ -98,21 +98,15 @@ let pathological_profile rng =
     pic = false;
   }
 
-(* The "large" class: libc-like-and-larger bodies (>= 256 KiB of text)
-   for the intra-binary parallelism benches.  Deliberately a separate
-   entry point rather than a new [class_of_draw] arm: the existing
-   corpus stream's bytes are pinned (the placement benches and their
-   recorded baselines depend on them), so growing the mix in place
-   would silently invalidate every historical number. *)
-(* Everything in a large member's text must be recursively reachable
-   (the jump table publishes every handler address, the rodata fptr
-   table every fptr target) and nothing in the text may be data: that
-   is the stitch-validation regime where the chunked parallel IR path
-   engages rather than falling back, which is the whole point of this
-   class.  No helpers — a helper that no handler happens to call is
-   dead code, which reads as Ambiguous and forces the serial fallback.
-   Members with islands, hidden code and dead routines are what the
-   base corpus is for. *)
+(* The "large" class: libc-like-and-larger bodies (>= 256 KiB of text),
+   a separate entry point rather than a new [class_of_draw] arm so the
+   existing corpus stream's pinned bytes (and every recorded number
+   over them) stay put.  Everything in a large member's text is
+   recursively reachable (the jump table publishes every handler, the
+   rodata fptr table every fptr target) and nothing in it is data, so
+   linear sweep and traversal agree on every byte and the cold build
+   takes the validated path.  No helpers: one no handler calls is dead
+   code, which reads as Ambiguous. *)
 let large_profile rng =
   {
     Cgc.Cb_gen.n_handlers = Rng.int_in rng 40 56;
@@ -136,8 +130,6 @@ let generate_large ~seed index =
   let rng = Rng.create item_seed in
   let binary, _meta = Cgc.Cb_gen.generate ~seed:item_seed (large_profile rng) in
   { name = Printf.sprintf "lg%03d-large.zbf" index; binary }
-
-let large_corpus ?(seed = 1) ~count () = List.init count (generate_large ~seed)
 
 let generate_one ~seed index =
   let item_seed = Rng.derive ~corpus_seed:seed ~index in

@@ -21,11 +21,7 @@ val corpus : ?seed:int -> count:int -> unit -> item list
 
 val generate_large : seed:int -> int -> item
 (** One member of the separate "large" class: libc-like-and-larger
-    bodies with [>= 256 KiB] of text, for the intra-binary parallelism
-    benches.  A distinct stream (names ["lg%03d-large.zbf"]) rather than
-    a new {!corpus} class, so the pinned bytes of the existing corpus
-    never shift. *)
-
-val large_corpus : ?seed:int -> count:int -> unit -> item list
-(** The first [count] large-class members, in index order.  Default
-    seed 1. *)
+    bodies with [>= 256 KiB] of text, all of it reachable code, so the
+    cold build takes the validated path.  A distinct stream (names
+    ["lg%03d-large.zbf"]) rather than a new {!corpus} class, so the
+    pinned bytes of the existing corpus never shift. *)

@@ -19,18 +19,20 @@ let named_binaries () =
 
 (* -- the snapshot's binary row records -- *)
 
+let row_records ~boundaries db =
+  let buf = Zipr_util.Bytebuf.create () in
+  Irdb.Dump.add_rows ~boundaries buf db;
+  Zipr_util.Bytebuf.to_string buf
+
 let test_exact_dump_roundtrip () =
   List.iter
     (fun (name, binary) ->
       let ir = Ir.build binary in
-      let records db =
-        let buf = Zipr_util.Bytebuf.create () in
-        Irdb.Dump.add_rows buf db;
-        Zipr_util.Bytebuf.to_string buf
-      in
+      let boundaries = ir.Ir.aggregate.Disasm.Aggregate.insn_at in
+      let records = row_records ~boundaries in
       let payload = records ir.Ir.db in
       let r = Irdb.Dump.reader payload in
-      let db2 = Irdb.Dump.read_rows ~orig:binary r in
+      let db2 = Irdb.Dump.read_rows ~boundaries ~orig:binary r in
       Alcotest.(check bool) (name ^ ": every byte read") true (Irdb.Dump.at_end r);
       Alcotest.(check (list string)) (name ^ ": restored db validates") [] (Db.validate db2);
       Alcotest.(check string) (name ^ ": same rows, pins and functions")
@@ -39,6 +41,44 @@ let test_exact_dump_roundtrip () =
         (Db.marked_pins db2);
       Alcotest.(check string) (name ^ ": codec is a fixed point") payload (records db2))
     (named_binaries ())
+
+(* A row holding its boundary's value is written without its
+   instruction; one whose instruction differs (replaced, as a rewrite
+   would) keeps its bytes and reads back as itself.  Bit 6 needs an
+   address with a boundary, and no bit above it exists. *)
+let test_boundary_rows () =
+  let binary = fst (Testprogs.assemble (Testprogs.fib_program ())) in
+  let ir = Ir.build binary in
+  let agg = ir.Ir.aggregate in
+  let boundaries = agg.Disasm.Aggregate.insn_at in
+  let rows = row_records ~boundaries ir.Ir.db in
+  let id = Db.entry ir.Ir.db in
+  let insn = (Db.row ir.Ir.db id).Db.insn in
+  Db.replace ir.Ir.db id (if insn = Zvm.Insn.Nop then Zvm.Insn.Ret else Zvm.Insn.Nop);
+  let edited = row_records ~boundaries ir.Ir.db in
+  Alcotest.(check bool) "the edited row carries its bytes" true
+    (String.length edited > String.length rows);
+  let db2 = Irdb.Dump.read_rows ~boundaries ~orig:binary (Irdb.Dump.reader edited) in
+  Alcotest.(check string) "the edited row reads back as itself" (Irdb.Dump.to_string ir.Ir.db)
+    (Irdb.Dump.to_string db2);
+  (* One-row sections after the snapshot's other parts: no entry, one
+     record (a flags byte and its fields), no functions, no marks. *)
+  let snap = Ir.snapshot (Ir.build binary) in
+  let prefix = String.sub snap 0 (String.length snap - String.length rows) in
+  let restore flags fields =
+    let buf = Zipr_util.Bytebuf.create () in
+    Zipr_util.Bytebuf.u8 buf 0;
+    Irdb.Dump.add_uint buf 1;
+    Zipr_util.Bytebuf.u8 buf flags;
+    List.iter (Irdb.Dump.add_uint buf) (fields @ [ 0; 0 ]);
+    Ir.restore binary (prefix ^ Zipr_util.Bytebuf.to_string buf)
+  in
+  let at = List.hd (Disasm.Aggregate.code_starts agg) in
+  let text_end = agg.Disasm.Aggregate.base + agg.Disasm.Aggregate.len in
+  Alcotest.(check bool) "a boundary row at a boundary" true (Result.is_ok (restore 80 [ at ]));
+  Alcotest.(check bool) "no address" true (Result.is_error (restore 64 []));
+  Alcotest.(check bool) "no boundary there" true (Result.is_error (restore 80 [ text_end ]));
+  Alcotest.(check bool) "flag 128" true (Result.is_error (restore (128 + 80) [ at ]))
 
 (* -- IR snapshot / restore -- *)
 
@@ -536,6 +576,7 @@ let test_counter_names () =
 let suite =
   [
     Alcotest.test_case "exact IRDB codec round-trips" `Quick test_exact_dump_roundtrip;
+    Alcotest.test_case "boundary rows: shared, edited, refused" `Quick test_boundary_rows;
     Alcotest.test_case "IR snapshot/restore round-trips" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "restore rejects malformed payloads" `Quick test_restore_rejects_garbage;
     Alcotest.test_case "restore refuses what it cannot vouch for" `Quick

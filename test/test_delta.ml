@@ -204,6 +204,35 @@ let test_dirty_binary_falls_back_identically () =
         (Bytes.equal (out plain) (out cached)))
     [ a; b; a ]
 
+(* A fragment whose boundaries disagree with the recursive traversal —
+   here literally shifted off the true framing — must be rejected, and a
+   fragment straddling the chunk's upper cut must be rejected. *)
+let test_adversarial_fragment_falls_back () =
+  let module D = Zipr.Delta in
+  let binary = (Workloads.Scale.generate_one ~seed:23 0).Workloads.Scale.binary in
+  let scan = Chunker.scan binary in
+  let text_end = scan.Chunker.base + scan.Chunker.len in
+  let rec_ = Disasm.Recursive.traverse binary in
+  let frame c = D.local_linear binary ~text_end c in
+  let c =
+    match
+      Array.find_opt (fun c -> Array.length (frame c).D.boundaries > 1) scan.Chunker.chunks
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "no chunk with two boundaries"
+  in
+  let f = frame c in
+  (* The honest framing validates. *)
+  D.validate_chunk rec_ c f;
+  let rejects what boundaries =
+    match D.validate_chunk rec_ c { D.boundaries } with
+    | () -> Alcotest.failf "%s framing must fall back" what
+    | exception D.Fallback -> ()
+  in
+  rejects "shifted" (Array.map (fun (rel, insn, len) -> (rel + 1, insn, len)) f.D.boundaries);
+  let _, insn, _ = f.D.boundaries.(0) in
+  rejects "cut-straddling" [| (c.Chunker.hi - c.Chunker.lo - 1, insn, 4) |]
+
 (* Shared cache across 4 workers: outputs must not depend on scheduling
    or on which worker seeds the cache. *)
 let test_jobs_shared_cache () =
@@ -254,6 +283,8 @@ let suite =
       test_disk_corruption_is_miss;
     Alcotest.test_case "irregular binaries fall back byte-identically" `Quick
       test_dirty_binary_falls_back_identically;
+    Alcotest.test_case "adversarial fragments fall back" `Quick
+      test_adversarial_fragment_falls_back;
     Alcotest.test_case "shared cache at jobs=4 stays deterministic" `Slow
       test_jobs_shared_cache;
   ]

@@ -32,7 +32,7 @@ let () =
       ("obs", Test_obs.suite);
       ("delta", Test_delta.suite);
       ("placement-search", Test_placement_search.suite);
-      ("irpar", Test_irpar.suite);
+      ("cold-ir", Test_cold_ir.suite);
       ("infer", Test_infer.suite);
       ("golden", Test_golden.suite);
     ]

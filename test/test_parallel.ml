@@ -273,6 +273,12 @@ let test_fuzz_jobs_independence () =
         y.Fuzz.Driver.repro_zasm)
     a.Fuzz.Driver.failures b.Fuzz.Driver.failures
 
+(* The shared 0-means-auto rule behind every --jobs flag. *)
+let test_jobs_auto () =
+  Alcotest.(check bool) "resolve_jobs 0 >= 1" true (Zipr.Pipeline.resolve_jobs 0 >= 1);
+  Alcotest.(check int) "resolve_jobs clamps" 1 (Zipr.Pipeline.resolve_jobs (-3));
+  Alcotest.(check int) "resolve_jobs passes through" 4 (Zipr.Pipeline.resolve_jobs 4)
+
 let suite =
   [
     Alcotest.test_case "Rng.derive pinned values" `Quick test_derive_pinned;
@@ -296,4 +302,5 @@ let suite =
     Alcotest.test_case "corpus isolates per-file failures" `Quick test_corpus_error_isolation;
     Alcotest.test_case "corpus seed changes layouts" `Quick test_corpus_seed_matters;
     Alcotest.test_case "fuzz jobs 1 vs 3: identical summary" `Slow test_fuzz_jobs_independence;
+    Alcotest.test_case "jobs 0 auto-detects" `Quick test_jobs_auto;
   ]

@@ -32,7 +32,6 @@ let sample_requests : P.Request.t list =
             placement_budget = Some 8;
             placement_epsilon = Some 0.25;
             placement_weights = "sled=2,chain=8";
-            ir_jobs = Some 4;
             infer = Some true;
           };
       payload = String.init 257 (fun i -> Char.chr (i mod 256));
@@ -98,68 +97,86 @@ let test_response_roundtrip () =
 (* -- codec: v1 request frames, byte for byte --
 
    Literal frames as the v1 encoder wrote them before the knobs were
-   gathered into [Zipr.Options]: the default config, each optional knob
-   alone, every knob set, an explicit [infer = Some false] and an empty
+   gathered into [Zipr.Options], each with its request id [n] (deadline
+   [1000 * (n - 1)] us): the default config, each optional knob alone,
+   every knob set, an explicit [infer = Some false] and an empty
    transform list.  A renamed or reordered key, a changed number format
    or an unset knob on the wire changes the bytes. *)
+let all_knobs =
+  {
+    P.transforms = [ "cfi"; "stack-pad" ];
+    placement = "search";
+    seed = 42;
+    placement_budget = Some 16;
+    placement_epsilon = Some 0.1;
+    placement_weights = "sled=1,chain=16,page=64";
+    infer = Some true;
+  }
+
 let v1_frames =
   let d = P.default_rewrite_config in
   [
-    ( d,
+    ( 1, d,
       "ZSRQ\001\000\001\000\001\000\000\000\000\000\000\000\000\000\000\000*\000\003\000\000\000transforms=null;placement=optimized;seed=1ZBF"
     );
-    ( { d with P.placement_budget = Some 8 },
+    ( 2, { d with P.placement_budget = Some 8 },
       "ZSRQ\001\000\001\000\002\000\000\000\000\000\000\000\232\003\000\000=\000\003\000\000\000transforms=null;placement=optimized;seed=1;placement_budget=8ZBF"
     );
-    ( { d with P.placement_epsilon = Some 0.25 },
+    ( 3, { d with P.placement_epsilon = Some 0.25 },
       "ZSRQ\001\000\001\000\003\000\000\000\000\000\000\000\208\007\000\000A\000\003\000\000\000transforms=null;placement=optimized;seed=1;placement_epsilon=0.25ZBF"
     );
-    ( { d with P.placement_weights = "sled=2,chain=8" },
+    ( 4, { d with P.placement_weights = "sled=2,chain=8" },
       "ZSRQ\001\000\001\000\004\000\000\000\000\000\000\000\184\011\000\000K\000\003\000\000\000transforms=null;placement=optimized;seed=1;placement_weights=sled=2,chain=8ZBF"
     );
-    ( { d with P.ir_jobs = Some 4 },
-      "ZSRQ\001\000\001\000\005\000\000\000\000\000\000\000\160\015\000\0004\000\003\000\000\000transforms=null;placement=optimized;seed=1;ir_jobs=4ZBF"
-    );
-    ( { d with P.infer = Some true },
+    ( 6, { d with P.infer = Some true },
       "ZSRQ\001\000\001\000\006\000\000\000\000\000\000\000\136\019\000\0002\000\003\000\000\000transforms=null;placement=optimized;seed=1;infer=1ZBF"
     );
-    ( { d with P.infer = Some false },
+    ( 7, { d with P.infer = Some false },
       "ZSRQ\001\000\001\000\007\000\000\000\000\000\000\000p\023\000\0002\000\003\000\000\000transforms=null;placement=optimized;seed=1;infer=0ZBF"
     );
-    ( {
-        P.transforms = [ "cfi"; "stack-pad" ];
-        placement = "search";
-        seed = 42;
-        placement_budget = Some 16;
-        placement_epsilon = Some 0.1;
-        placement_weights = "sled=1,chain=16,page=64";
-        ir_jobs = Some 0;
-        infer = Some true;
-      },
-      "ZSRQ\001\000\001\000\b\000\000\000\000\000\000\000X\027\000\000\167\000\003\000\000\000transforms=cfi,stack-pad;placement=search;seed=42;placement_budget=16;placement_epsilon=0.10000000000000001;placement_weights=sled=1,chain=16,page=64;ir_jobs=0;infer=1ZBF"
+    ( 8, all_knobs,
+      "ZSRQ\001\000\001\000\b\000\000\000\000\000\000\000X\027\000\000\157\000\003\000\000\000transforms=cfi,stack-pad;placement=search;seed=42;placement_budget=16;placement_epsilon=0.10000000000000001;placement_weights=sled=1,chain=16,page=64;infer=1ZBF"
     );
-    ( { d with P.transforms = []; placement = "naive"; seed = 0 },
+    ( 9, { d with P.transforms = []; placement = "naive"; seed = 0 },
       "ZSRQ\001\000\001\000\t\000\000\000\000\000\000\000@\031\000\000\"\000\003\000\000\000transforms=;placement=naive;seed=0ZBF"
     );
   ]
 
+(* Frames from clients that still send the retired intra-binary worker
+   count: they decode as if the key were absent. *)
+let legacy_frames =
+  [
+    ( 5, P.default_rewrite_config,
+      "ZSRQ\001\000\001\000\005\000\000\000\000\000\000\000\160\015\000\0004\000\003\000\000\000transforms=null;placement=optimized;seed=1;ir_jobs=4ZBF"
+    );
+    ( 8, all_knobs,
+      "ZSRQ\001\000\001\000\b\000\000\000\000\000\000\000X\027\000\000\167\000\003\000\000\000transforms=cfi,stack-pad;placement=search;seed=42;placement_budget=16;placement_epsilon=0.10000000000000001;placement_weights=sled=1,chain=16,page=64;ir_jobs=0;infer=1ZBF"
+    );
+  ]
+
 let test_v1_frames () =
-  List.iteri
-    (fun i (rc, expected) ->
-      let req =
-        {
-          P.Request.id = Int64.of_int (i + 1);
-          deadline_us = 1000 * i;
-          op = P.Rewrite rc;
-          payload = "ZBF";
-        }
-      in
-      Alcotest.(check string) (Printf.sprintf "frame %d bytes" i) expected (P.encode_request req);
-      match P.read_request (P.input_of_string expected) with
-      | Ok got ->
-          Alcotest.(check bool) (Printf.sprintf "frame %d decodes" i) true (P.Request.equal req got)
-      | Error f -> Alcotest.failf "frame %d: %s" i (P.error_to_string f.P.error))
-    v1_frames
+  let request n rc =
+    {
+      P.Request.id = Int64.of_int n;
+      deadline_us = 1000 * (n - 1);
+      op = P.Rewrite rc;
+      payload = "ZBF";
+    }
+  in
+  let decodes what req frame =
+    match P.read_request (P.input_of_string frame) with
+    | Ok got -> Alcotest.(check bool) (what ^ " decodes") true (P.Request.equal req got)
+    | Error f -> Alcotest.failf "%s: %s" what (P.error_to_string f.P.error)
+  in
+  List.iter
+    (fun (n, rc, expected) ->
+      let what = Printf.sprintf "frame %d" n in
+      Alcotest.(check string) (what ^ " bytes") expected (P.encode_request (request n rc));
+      decodes what (request n rc) expected)
+    v1_frames;
+  List.iter
+    (fun (n, rc, frame) -> decodes (Printf.sprintf "legacy frame %d" n) (request n rc) frame)
+    legacy_frames
 
 (* -- codec: QCheck round-trip and never-raise fuzz -- *)
 
@@ -172,14 +189,12 @@ let gen_request =
          (oneofl [ None; Some 1; Some 16; Some 4096 ])
          (oneofl [ None; Some 0.0; Some 0.25; Some 0.125; Some 1.0 ])
          (oneofl [ ""; "sled=2"; "sled=1,chain=16,relax=3,overflow=1,page=64" ]))
-      (pair
-         (oneofl [ None; Some 0; Some 1; Some 4; Some 64 ])
-         (oneofl [ None; Some false; Some true ]))
+      (oneofl [ None; Some false; Some true ])
   in
   let rc =
     map3
       (fun transforms placement
-           (seed, ((placement_budget, placement_epsilon, placement_weights), (ir_jobs, infer))) ->
+           (seed, ((placement_budget, placement_epsilon, placement_weights), infer)) ->
         {
           P.transforms;
           placement;
@@ -187,7 +202,6 @@ let gen_request =
           placement_budget;
           placement_epsilon;
           placement_weights;
-          ir_jobs;
           infer;
         })
       (list_size (0 -- 4) name)
@@ -317,7 +331,6 @@ let test_options_merge_resolve () =
       placement_budget = Some 4;
       placement_epsilon = Some 0.25;
       placement_weights = "sled=2";
-      ir_jobs = Some 3;
       infer = Some true;
     }
   in
@@ -328,7 +341,6 @@ let test_options_merge_resolve () =
       placement_budget = Some 9;
       placement_epsilon = Some 0.5;
       placement_weights = "chain=3";
-      ir_jobs = Some 2;
       infer = Some false;
     }
   in
@@ -338,7 +350,6 @@ let test_options_merge_resolve () =
     (merged = { defaults with transforms = [ "cfi" ]; placement = "search"; seed = 7 });
   (match resolve merged with
   | Ok (config, transforms) ->
-      Alcotest.(check int) "ir_jobs" 3 config.Zipr.Pipeline.ir_jobs;
       Alcotest.(check bool) "infer" true config.Zipr.Pipeline.infer;
       Alcotest.(check int) "seed" 7 config.Zipr.Pipeline.seed;
       Alcotest.(check (list string)) "transforms" [ "cfi" ]
@@ -346,7 +357,6 @@ let test_options_merge_resolve () =
   | Error msg -> Alcotest.failf "merged knobs rejected: %s" msg);
   (match resolve O.default with
   | Ok (config, _) ->
-      Alcotest.(check int) "unset ir_jobs is serial" 1 config.Zipr.Pipeline.ir_jobs;
       Alcotest.(check bool) "unset infer is off" false config.Zipr.Pipeline.infer
   | Error msg -> Alcotest.failf "defaults rejected: %s" msg);
   (match resolve { O.default with transforms = [ "cfi"; "nope"; "nah" ] } with
@@ -507,38 +517,6 @@ let test_shared_cache_hits () =
       Alcotest.(check int) "server counted the miss" 1 s.Server.cache_misses;
       Alcotest.(check bool) "cache resident bytes visible" true
         (s.Server.cache_resident_bytes > 0))
-
-(* A per-request --ir-jobs override against a serial-default daemon:
-   the response's det.ir_jobs echoes the override, and the output stays
-   byte-identical to the offline pipeline (parallel IR construction
-   changes timing, never bytes). *)
-let test_ir_jobs_override () =
-  let data = workload_bytes (Workloads.Synthetic.libc_like ~seed:13 ~tests:0 ()) in
-  let transforms = List.filter_map Transforms.Registry.by_name [ "cfi" ] in
-  let offline =
-    match Zipr.Pipeline.rewrite_bytes ~transforms (Bytes.of_string data) with
-    | Ok out -> Bytes.to_string out
-    | Error e -> Alcotest.failf "offline rewrite failed: %s" e
-  in
-  let has_line needle stats =
-    List.exists (String.equal needle) (String.split_on_char '\n' stats)
-  in
-  with_server (fun _server addr ->
-      let par =
-        expect_ok "override"
-          (Client.rewrite ~options:{ (options [ "cfi" ]) with ir_jobs = Some 4 } addr data)
-      in
-      Alcotest.(check bool) "det.ir_jobs echoes the override" true
-        (has_line "det.ir_jobs=4" par.P.Response.stats);
-      Alcotest.(check bool) "override output byte-identical to offline" true
-        (String.equal offline par.P.Response.payload);
-      let default =
-        expect_ok "server default" (Client.rewrite ~options:(options [ "cfi" ]) addr data)
-      in
-      Alcotest.(check bool) "no override: server default (serial)" true
-        (has_line "det.ir_jobs=1" default.P.Response.stats);
-      Alcotest.(check bool) "default output byte-identical" true
-        (String.equal offline default.P.Response.payload))
 
 (* The disk bound covers the whole --cache directory: a delta daemon's
    snapshot entries and routine fragments share it, so four versions of
@@ -717,8 +695,6 @@ let suite =
     Alcotest.test_case "served rewrites byte-identical to pipeline (1 and 8 clients)" `Slow
       test_served_byte_identity;
     Alcotest.test_case "concurrent clients share one IR cache" `Quick test_shared_cache_hits;
-    Alcotest.test_case "per-request ir-jobs override round-trips" `Quick
-      test_ir_jobs_override;
     Alcotest.test_case "delta daemon keeps its cache directory in bounds" `Quick
       test_delta_disk_bound;
     Alcotest.test_case "ping echoes its payload" `Quick test_ping_echoes;
