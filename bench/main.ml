@@ -745,7 +745,6 @@ let serve_bench () =
       Serve.Server.default_config with
       Serve.Server.jobs = Zipr.Pipeline.resolve_jobs !jobs;
       queue_bound = max 4 (2 * !clients);
-      delta = true;
     }
   in
   let server =
@@ -838,8 +837,6 @@ let serve_bench () =
   say "latency max           %10.2f ms" lmax;
   say "ir cache              %10d hits / %d misses (%.0f%% hit rate)" s.Serve.Server.cache_hits
     s.Serve.Server.cache_misses (hit_rate *. 100.0);
-  say "routine cache         %10d hits / %d misses (%d delta builds)"
-    s.Serve.Server.routine_hits s.Serve.Server.routine_misses s.Serve.Server.delta_builds;
   say "queue high water      %10d  (bound %d)" s.Serve.Server.queue_high_water
     s.Serve.Server.queue_bound;
   if errors > 0 then failwith "serve bench: unexpected request errors";
@@ -868,11 +865,6 @@ let serve_bench () =
     \  \"cache_hit_rate\": %.4f,\n\
     \  \"cache_resident_bytes\": %d,\n\
     \  \"cache_evictions\": %d,\n\
-    \  \"routine_hits\": %d,\n\
-    \  \"routine_misses\": %d,\n\
-    \  \"delta_builds\": %d,\n\
-    \  \"routine_fragments\": %d,\n\
-    \  \"routine_fragment_bytes\": %d,\n\
     \  \"queue_bound\": %d,\n\
     \  \"queue_high_water\": %d\n\
      }\n"
@@ -882,32 +874,29 @@ let serve_bench () =
     (float_of_int ok /. wall)
     (dist_json lats) p50 p90 p99 lmax s.Serve.Server.cache_hits s.Serve.Server.cache_misses
     hit_rate s.Serve.Server.cache_resident_bytes s.Serve.Server.cache_evictions
-    s.Serve.Server.routine_hits s.Serve.Server.routine_misses s.Serve.Server.delta_builds
-    s.Serve.Server.routine_fragments s.Serve.Server.routine_fragment_bytes
     s.Serve.Server.queue_bound s.Serve.Server.queue_high_water;
   close_out oc;
   say "wrote BENCH_serve.json (%d clients at --jobs %d)" !clients config.Serve.Server.jobs
 
 (* ------------------------------------------------------------------ *)
-(* Delta: incremental rewriting over a versioned corpus                *)
+(* Delta: warm IR over a versioned corpus                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The incremental-IR experiment: N successive versions of one binary
-   (a few local edits apart) rewritten three ways —
+(* The warm-IR experiment: N successive versions of one binary (a few
+   local edits apart) rewritten two ways —
 
-     cold   no caches: every version rebuilds its IR from scratch;
-     delta  a fresh routine cache: v0 is a cold build that seeds the
-            cache, every later version stitches cached routine fragments
-            around its edits;
-     warm   the same cache again: every version hits the whole-IR memo.
+     cold   no cache: every version builds its IR (each one through the
+            validated cold path, since its two sweeps agree);
+     warm   a shared in-memory IR cache, seeded by one first pass: every
+            version restores its snapshot, at --jobs 1 and at --jobs 4.
 
    Always writes BENCH_delta.json.  The run {e fails} (non-zero exit) if
-   any pass diverges byte-wise from the cold outputs — at --jobs 1 and
-   at --jobs 4 over a shared cache — or if the fully-warm IR phase is
-   not at least 5x faster than cold: byte-identity and the speedup floor
-   are the experiment's contract, not just its observables. *)
+   either warm pass diverges byte-wise from the cold outputs or misses
+   the cache on any version, or if the warm IR phase is not at least 5x
+   faster than cold: byte-identity and the speedup floor are the
+   experiment's contract, not just its observables. *)
 let delta_bench () =
-  say "== Delta: incremental IR over a versioned corpus ==";
+  say "== Delta: warm IR over a versioned corpus ==";
   let versions = if !small_mode then 4 else 8 in
   let n_routines = if !small_mode then 16 else 32 in
   let vs = Workloads.Versioned.generate ~n_routines ~seed:11 ~versions () in
@@ -932,48 +921,26 @@ let delta_bench () =
   in
   let identical a b = List.for_all2 Bytes.equal (outputs a) (outputs b) in
   let cold = Parallel.Corpus.rewrite_all ~jobs:1 ~transforms ~corpus_seed items in
-  let routine_cache = Zipr.Delta.create () in
-  let delta = Parallel.Corpus.rewrite_all ~jobs:1 ~transforms ~routine_cache ~corpus_seed items in
-  let warm = Parallel.Corpus.rewrite_all ~jobs:1 ~transforms ~routine_cache ~corpus_seed items in
-  (* The same versioned corpus over a shared cache at 4 workers: outputs
-     must not depend on scheduling or on which worker seeds the cache. *)
-  let cache4 = Zipr.Delta.create () in
-  let delta4 =
-    Parallel.Corpus.rewrite_all ~jobs:4 ~transforms ~routine_cache:cache4 ~corpus_seed items
-  in
-  let warm4 =
-    Parallel.Corpus.rewrite_all ~jobs:4 ~transforms ~routine_cache:cache4 ~corpus_seed items
-  in
+  let ir_cache = Irdb.Cache.create () in
+  ignore (Parallel.Corpus.rewrite_all ~jobs:1 ~transforms ~ir_cache ~corpus_seed items);
+  let warm = Parallel.Corpus.rewrite_all ~jobs:1 ~transforms ~ir_cache ~corpus_seed items in
+  (* The same cache read by 4 workers: outputs must not depend on
+     scheduling. *)
+  let warm4 = Parallel.Corpus.rewrite_all ~jobs:4 ~transforms ~ir_cache ~corpus_seed items in
   let cold_ir = cold.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s in
-  let delta_ir = delta.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s in
   let warm_ir = warm.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s in
-  let dc = delta.Parallel.Corpus.merged_cache in
-  let wc = warm.Parallel.Corpus.merged_cache in
-  let lookups (c : Zipr.Pipeline.cache_stats) =
-    c.Zipr.Pipeline.routine_hits + c.Zipr.Pipeline.routine_misses
-  in
-  let rate (c : Zipr.Pipeline.cache_stats) =
-    if lookups c = 0 then 0.0
-    else float_of_int c.Zipr.Pipeline.routine_hits /. float_of_int (lookups c)
+  let hits (r : Parallel.Corpus.report) =
+    r.Parallel.Corpus.merged_cache.Zipr.Pipeline.ir_cache_hits
   in
   let warm_speedup = if warm_ir > 0.0 then cold_ir /. warm_ir else 0.0 in
-  let delta_speedup = if delta_ir > 0.0 then cold_ir /. delta_ir else 0.0 in
-  let id_delta = identical cold delta in
   let id_warm = identical cold warm in
-  let id_jobs4 = identical cold delta4 && identical cold warm4 in
+  let id_jobs4 = identical cold warm4 in
   say "versions              %10d  (%d routines, seed 11)" versions n_routines;
   say "ir cold               %10.4f s" cold_ir;
-  say "ir delta              %10.4f s  (%.1fx), %d/%d routine hits, %d delta builds"
-    delta_ir delta_speedup dc.Zipr.Pipeline.routine_hits (lookups dc)
-    dc.Zipr.Pipeline.delta_builds;
-  say "ir warm               %10.4f s  (%.1fx), %d/%d routine hits" warm_ir warm_speedup
-    wc.Zipr.Pipeline.routine_hits (lookups wc);
-  say "delta outputs         %s" (if id_delta then "byte-identical" else "DIVERGED");
+  say "ir warm               %10.4f s  (%.1fx), %d/%d IR-cache hits" warm_ir warm_speedup
+    (hits warm) versions;
   say "warm outputs          %s" (if id_warm then "byte-identical" else "DIVERGED");
   say "jobs=4 outputs        %s" (if id_jobs4 then "byte-identical" else "DIVERGED");
-  say "fragments resident    %10d  (%d bytes)"
-    (Zipr.Delta.fragment_entries routine_cache)
-    (Zipr.Delta.fragment_bytes routine_cache);
   let oc = open_out "BENCH_delta.json" in
   Printf.fprintf oc
     "{\n\
@@ -981,36 +948,20 @@ let delta_bench () =
     \  \"versions\": %d,\n\
     \  \"n_routines\": %d,\n\
     \  \"cold_ir_s\": %.6f,\n\
-    \  \"delta_ir_s\": %.6f,\n\
     \  \"warm_ir_s\": %.6f,\n\
-    \  \"delta_speedup\": %.3f,\n\
     \  \"warm_speedup\": %.3f,\n\
-    \  \"routine_hits_delta\": %d,\n\
-    \  \"routine_misses_delta\": %d,\n\
-    \  \"delta_builds\": %d,\n\
-    \  \"routine_hit_rate_delta\": %.4f,\n\
-    \  \"routine_hits_warm\": %d,\n\
-    \  \"routine_hit_rate_warm\": %.4f,\n\
-    \  \"byte_identical_delta\": %b,\n\
+    \  \"warm_ir_cache_hits\": %d,\n\
     \  \"byte_identical_warm\": %b,\n\
     \  \"byte_identical_jobs4\": %b,\n\
-    \  \"fragment_entries\": %d,\n\
-    \  \"fragment_bytes\": %d,\n\
     \  %s\n\
      }\n"
-    versions n_routines cold_ir delta_ir warm_ir delta_speedup warm_speedup
-    dc.Zipr.Pipeline.routine_hits dc.Zipr.Pipeline.routine_misses
-    dc.Zipr.Pipeline.delta_builds (rate dc) wc.Zipr.Pipeline.routine_hits (rate wc)
-    id_delta id_warm id_jobs4
-    (Zipr.Delta.fragment_entries routine_cache)
-    (Zipr.Delta.fragment_bytes routine_cache)
+    versions n_routines cold_ir warm_ir warm_speedup (hits warm) id_warm id_jobs4
     (host_json ~corpus_size:versions);
   close_out oc;
   say "wrote BENCH_delta.json (%d versions)" versions;
-  if not (id_delta && id_warm && id_jobs4) then
-    failwith "delta bench: outputs diverged from the cold path";
-  if dc.Zipr.Pipeline.routine_hits = 0 then
-    failwith "delta bench: the delta pass never hit the routine cache";
+  if not (id_warm && id_jobs4) then failwith "delta bench: outputs diverged from the cold path";
+  if hits warm <> versions || hits warm4 <> versions then
+    failwith "delta bench: a warm pass missed the IR cache";
   if warm_speedup < 5.0 then
     failwith
       (Printf.sprintf "delta bench: warm IR speedup %.1fx below the 5x floor" warm_speedup)

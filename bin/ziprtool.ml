@@ -529,26 +529,14 @@ let batch_cmd =
              same inputs restores each binary's IR from the cache instead of rebuilding \
              it; outputs are byte-identical either way.")
   in
-  let delta =
-    Arg.(
-      value & flag
-      & info [ "delta" ]
-          ~doc:
-            "Enable the routine-granular delta cache: binaries that share routines with \
-             earlier (or cached) inputs reuse per-routine IR fragments and whole-IR \
-             memo entries instead of rebuilding. With $(b,--cache) DIR the fragments \
-             persist in DIR too, under the same disk bound. Outputs are byte-identical \
-             either way.")
-  in
   let cache_disk_entries =
     Arg.(
       value
       & opt (some int) None
       & info [ "cache-disk-entries" ] ~docv:"N"
           ~doc:
-            "Bound the $(b,--cache) directory to N entry files (IR snapshots and \
-             $(b,--delta) fragments together); after each store the oldest entries are \
-             pruned. Unbounded by default.")
+            "Bound the $(b,--cache) directory to N entry files; after each store the \
+             oldest entries are pruned. Unbounded by default.")
   in
   let cache_disk_bytes =
     Arg.(
@@ -569,7 +557,7 @@ let batch_cmd =
              trace_event) and DIR/report.json (aggregated per-phase totals). Outputs are \
              byte-identical with or without tracing, at any $(b,--jobs).")
   in
-  let run knobs jobs ext cache_dir delta disk_entries disk_bytes trace indir outdir =
+  let run knobs jobs ext cache_dir disk_entries disk_bytes trace indir outdir =
     with_trace_dir trace @@ fun () ->
     match resolve_knobs knobs with
     | Error msg ->
@@ -604,16 +592,9 @@ let batch_cmd =
                 ?max_disk_bytes:disk_bytes ())
             cache_dir
         in
-        let routine_cache =
-          if delta then
-            Some
-              (Zipr.Delta.create ?dir:cache_dir ?max_disk_entries:disk_entries
-                 ?max_disk_bytes:disk_bytes ())
-          else None
-        in
         let report =
           Parallel.Corpus.rewrite_all ~jobs ~config ~transforms ?ir_cache
-            ?routine_cache ~corpus_seed:knobs.Zipr.Options.seed items
+            ~corpus_seed:knobs.Zipr.Options.seed items
         in
         ensure_dir outdir;
         List.iter
@@ -635,7 +616,7 @@ let batch_cmd =
           file: a binary that does not parse or fails to rewrite is reported and the \
           batch continues (exit 1 if any failed).")
     Term.(
-      const run $ knobs $ batch_jobs $ ext $ cache_dir $ delta $ cache_disk_entries
+      const run $ knobs $ batch_jobs $ ext $ cache_dir $ cache_disk_entries
       $ cache_disk_bytes $ trace $ indir $ outdir)
 
 (* -- serve / client -- *)
@@ -700,9 +681,7 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "cache" ] ~docv:"DIR"
-          ~doc:
-            "Spill the shared IR cache (and, with $(b,--delta), the routine fragments) \
-             to this directory.")
+          ~doc:"Spill the shared IR cache to this directory.")
   in
   let cache_disk_entries =
     Arg.(
@@ -718,15 +697,6 @@ let serve_cmd =
       & info [ "cache-disk-bytes" ] ~docv:"BYTES"
           ~doc:"Bound the $(b,--cache) directory's total size (oldest entries pruned).")
   in
-  let delta =
-    Arg.(
-      value & flag
-      & info [ "delta" ]
-          ~doc:
-            "Enable the shared routine-granular delta cache: requests whose binaries \
-             share routines with earlier requests stitch cached per-routine IR \
-             fragments instead of rebuilding from scratch.")
-  in
   let trace =
     Arg.(
       value
@@ -734,8 +704,9 @@ let serve_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Write a Chrome trace of all served requests on shutdown.")
   in
-  (* Accepted so existing daemon command lines keep starting; it has no
-     effect since cold IR construction has one path. *)
+  (* Accepted so existing daemon command lines keep starting.  --ir-jobs
+     has no effect since cold IR construction has one path; --delta none
+     since every IR comes from the snapshot cache or a cold build. *)
   let ir_jobs =
     Arg.(
       value
@@ -744,8 +715,15 @@ let serve_cmd =
           ~deprecated:"ignored: IR construction no longer takes a worker count."
           ~doc:"Ignored.")
   in
+  let delta =
+    Arg.(
+      value & flag
+      & info [ "delta" ]
+          ~deprecated:"ignored: the IR snapshot cache serves every repeat request."
+          ~doc:"Ignored.")
+  in
   let run addr jobs defaults queue_bound max_request cache_entries cache_bytes cache_dir
-      cache_disk_entries cache_disk_bytes delta trace (_ : int option) =
+      cache_disk_entries cache_disk_bytes trace (_ : int option) (_ : bool) =
     (* Fail fast on bad default knobs, checked as a search request would
        use them, instead of per request. *)
     match (addr, resolve_knobs { defaults with Zipr.Options.placement = "search" }) with
@@ -764,7 +742,6 @@ let serve_cmd =
             cache_dir;
             cache_disk_entries;
             cache_disk_bytes;
-            delta;
             defaults;
           }
         in
@@ -785,14 +762,11 @@ let serve_cmd =
             let s = Serve.Server.stats server in
             Printf.eprintf
               "ziprtool serve: shut down cleanly: %d requests (%d ok, %d overloaded, %d \
-               errors), cache %d hits / %d misses, routines %d hits / %d misses (%d \
-               delta builds)\n"
+               errors), cache %d hits / %d misses\n"
               s.Serve.Server.accepted s.Serve.Server.ok s.Serve.Server.overloaded
               (s.Serve.Server.bad_request + s.Serve.Server.too_large
              + s.Serve.Server.rewrite_errors)
-              s.Serve.Server.cache_hits s.Serve.Server.cache_misses
-              s.Serve.Server.routine_hits s.Serve.Server.routine_misses
-              s.Serve.Server.delta_builds;
+              s.Serve.Server.cache_hits s.Serve.Server.cache_misses;
             0)
   in
   Cmd.v
@@ -805,7 +779,7 @@ let serve_cmd =
     Term.(
       const run $ addr_term $ jobs $ daemon_knobs $ queue_bound $ max_request
       $ cache_entries $ cache_bytes $ cache_dir $ cache_disk_entries $ cache_disk_bytes
-      $ delta $ trace $ ir_jobs)
+      $ trace $ ir_jobs $ delta)
 
 (* -- gencorpus -- *)
 
@@ -887,9 +861,10 @@ let gencorpus_cmd =
        ~doc:
          "Generate a versioned corpus: N successive versions of one synthetic binary \
           differing by a few local edits each (instruction edits, routine \
-          insertions/deletions, data moves) — the workload the delta cache \
-          ($(b,batch --delta), $(b,serve --delta), $(b,bench delta)) is built for. \
-          Writes OUTDIR/v0.zbf .. OUTDIR/v<N-1>.zbf, deterministically in --seed. \
+          insertions/deletions, data moves), the input of $(b,bench delta). Every \
+          version's linear sweep and recursive traversal agree, so its cold IR build \
+          takes the validated path, and a repeat is an IR-cache hit. Writes \
+          OUTDIR/v0.zbf .. OUTDIR/v<N-1>.zbf, deterministically in --seed. \
           With $(b,--count) N it instead emits N independent varied binaries for \
           scale-out placement experiments.")
     Term.(const run $ versions $ seed $ routines $ body_ops $ edits $ count $ outdir)

@@ -88,10 +88,9 @@ let speculative_decode db binary warnings addr =
 
 (* Everything downstream of disassembly: pin analysis, row/link
    construction, mandatory transforms, pin assignment, entry, function
-   identification.  Factored out of {!build} so the delta path
-   ({!Delta}) can run the {e identical} code over an aggregate stitched
-   from cached routine fragments — byte-identity of the incremental path
-   rests on sharing this function, not reimplementing it. *)
+   identification.  Factored out of {!build} so tests and the layer
+   benchmark can run the {e identical} code over an aggregate they
+   composed themselves. *)
 let build_from_aggregate ?pin_config binary (aggregate : Agg.t) =
   let warnings = ref [] in
   List.iter (fun w -> warnings := w :: !warnings) aggregate.Agg.warnings;
@@ -204,7 +203,7 @@ let build ?pin_config ?(infer = false) binary =
   let aggregate = Obs.span "disasm" (fun () -> Agg.run ~infer binary) in
   build_from_aggregate ?pin_config binary aggregate
 
-(* -- snapshot / restore: the payload behind Irdb.Cache and the delta memo -- *)
+(* -- snapshot / restore: the payload behind Irdb.Cache -- *)
 
 (* Bump whenever any serialized shape changes (including the row records
    in {!Irdb.Dump}): the version participates in the cache key, so old
@@ -212,9 +211,9 @@ let build ?pin_config ?(infer = false) binary =
 let snapshot_version = "ZIRIR3"
 
 (* The refinement pass's codec version.  It joins the fingerprint only
-   when [--infer] is on, so every cache key (whole-binary snapshot,
-   delta chunk, delta memo) gets a codec-version bump exactly then and
-   stays byte-identical to previous releases otherwise. *)
+   when [--infer] is on, so every cache key gets a codec-version bump
+   exactly then and stays byte-identical to previous releases
+   otherwise. *)
 let infer_codec_version = "ZIRINF1"
 
 let fingerprint ?(infer = false) (config : Analysis.Ibt.config) =

@@ -40,10 +40,8 @@ val build_from_aggregate :
     aggregate: pin analysis, row/link construction, mandatory
     transforms, pin assignment, entry designation, function
     identification.  [build] is [build_from_aggregate] over
-    [Aggregate.run]; the delta path ({!Delta}) calls this over an
-    aggregate stitched from cached routine fragments, so both paths run
-    the identical downstream code — the foundation of the incremental
-    path's byte-identity guarantee. *)
+    [Aggregate.run]; tests call it over an explicitly composed
+    aggregate to check the cold path against it. *)
 
 (** {1 Snapshot / restore}
 
@@ -53,8 +51,7 @@ val build_from_aggregate :
     the same input (fuzzing, corpus runs, [ziprtool batch --cache]) skip
     the phase entirely; {!Irdb.Cache} stores the payloads, keyed by
     {!Irdb.Cache.key} over [snapshot_version], {!fingerprint} and the
-    input bytes, and the delta path's whole-binary memo ({!Delta}) holds
-    them too.
+    input bytes.
 
     The payload is binary ([ZIRIR3], laid out in DESIGN.md §9.2).
     Boundary instructions are not stored: restore decodes each one in

@@ -25,13 +25,7 @@ type timing = {
   reassembly_s : float;
 }
 
-type cache_stats = {
-  ir_cache_hits : int;
-  ir_cache_misses : int;
-  routine_hits : int;
-  routine_misses : int;
-  delta_builds : int;
-}
+type cache_stats = { ir_cache_hits : int; ir_cache_misses : int }
 
 type result = {
   rewritten : Zelf.Binary.t;
@@ -50,22 +44,12 @@ let add_timing a b =
     reassembly_s = a.reassembly_s +. b.reassembly_s;
   }
 
-let zero_cache_stats =
-  {
-    ir_cache_hits = 0;
-    ir_cache_misses = 0;
-    routine_hits = 0;
-    routine_misses = 0;
-    delta_builds = 0;
-  }
+let zero_cache_stats = { ir_cache_hits = 0; ir_cache_misses = 0 }
 
 let add_cache_stats a b =
   {
     ir_cache_hits = a.ir_cache_hits + b.ir_cache_hits;
     ir_cache_misses = a.ir_cache_misses + b.ir_cache_misses;
-    routine_hits = a.routine_hits + b.routine_hits;
-    routine_misses = a.routine_misses + b.routine_misses;
-    delta_builds = a.delta_builds + b.delta_builds;
   }
 
 let timed f =
@@ -84,10 +68,8 @@ let ir_cache_key ~pin_config ~infer binary =
 (* IR acquisition: a cache hit restores the snapshot (skipping
    disassembly, pin analysis and IR build); a miss — or a payload the
    codec rejects — builds cold and (re)publishes the snapshot.  Either
-   way [ir_construction_s] times whichever path actually ran.  With a
-   cache, the payload stored or restored comes back too, for the delta
-   memo to share. *)
-let obtain_snapshot_ir ?ir_cache ?(infer = false) ~pin_config binary =
+   way [ir_construction_s] times whichever path actually ran. *)
+let obtain_ir ?ir_cache ?(infer = false) ~pin_config binary =
   let build () =
     timed (fun () ->
         Obs.span "ir" ~args:[ ("source", "build") ] (fun () ->
@@ -96,15 +78,14 @@ let obtain_snapshot_ir ?ir_cache ?(infer = false) ~pin_config binary =
   match ir_cache with
   | None ->
       let ir, t = build () in
-      (ir, t, zero_cache_stats, None)
+      (ir, t, zero_cache_stats)
   | Some cache -> (
       let key = ir_cache_key ~pin_config ~infer binary in
       let build_and_store () =
         let ir, t = build () in
-        let payload = Ir_construction.snapshot ir in
-        Irdb.Cache.store cache ~key payload;
+        Irdb.Cache.store cache ~key (Ir_construction.snapshot ir);
         Obs.count "pipeline.ir_cache_misses" 1;
-        (ir, t, { zero_cache_stats with ir_cache_misses = 1 }, Some payload)
+        (ir, t, { zero_cache_stats with ir_cache_misses = 1 })
       in
       match Irdb.Cache.find cache key with
       | None -> build_and_store ()
@@ -116,42 +97,8 @@ let obtain_snapshot_ir ?ir_cache ?(infer = false) ~pin_config binary =
           with
           | Ok ir, t ->
               Obs.count "pipeline.ir_cache_hits" 1;
-              (ir, t, { zero_cache_stats with ir_cache_hits = 1 }, Some payload)
+              (ir, t, { zero_cache_stats with ir_cache_hits = 1 })
           | Error _, _ -> build_and_store ()))
-
-(* Full IR acquisition.  With a routine cache, the delta path goes first
-   (memo hit, or a routine-granular stitch when enough fragments hit and
-   the composition validates); when it declines, the snapshot cache and
-   cold build take over as before, and the result is harvested back into
-   the routine cache — before any transform can touch it — sharing the
-   snapshot cache's payload, so a cold miss snapshots the IR once. *)
-let obtain_ir ?ir_cache ?routine_cache ?(infer = false) ~pin_config binary =
-  match routine_cache with
-  | None ->
-      let ir, t, stats, _ = obtain_snapshot_ir ?ir_cache ~infer ~pin_config binary in
-      (ir, t, stats)
-  | Some dc -> (
-      let outcome, t0 =
-        timed (fun () ->
-            Obs.span "ir" ~args:[ ("source", "delta") ] (fun () ->
-                Delta.obtain dc ~pin_config ~infer binary))
-      in
-      let dstats =
-        {
-          zero_cache_stats with
-          routine_hits = outcome.Delta.routine_hits;
-          routine_misses = outcome.Delta.routine_misses;
-          delta_builds = (if outcome.Delta.delta_built then 1 else 0);
-        }
-      in
-      match outcome.Delta.ir with
-      | Some ir -> (ir, t0, dstats)
-      | None ->
-          let ir, t1, cstats, snapshot =
-            obtain_snapshot_ir ?ir_cache ~infer ~pin_config binary
-          in
-          Delta.harvest ?snapshot dc outcome ir;
-          (ir, t0 +. t1, add_cache_stats dstats cstats))
 
 (* Per-transform spans want a computed name ("transform:cfi"); build the
    string only when a sink is installed so the default path keeps
@@ -166,11 +113,10 @@ let apply_transforms transforms db =
           transforms)
   else Transform.apply_all transforms db
 
-let rewrite ?(config = default_config) ?ir_cache ?routine_cache ~transforms binary =
+let rewrite ?(config = default_config) ?ir_cache ~transforms binary =
   Obs.span "rewrite" (fun () ->
       let ir, ir_construction_s, cache =
-        obtain_ir ?ir_cache ?routine_cache ~infer:config.infer
-          ~pin_config:config.pin_config binary
+        obtain_ir ?ir_cache ~infer:config.infer ~pin_config:config.pin_config binary
       in
       let (), transformation_s =
         timed (fun () -> apply_transforms transforms ir.Ir_construction.db)
@@ -188,18 +134,18 @@ let rewrite ?(config = default_config) ?ir_cache ?routine_cache ~transforms bina
         cache;
       })
 
-let try_rewrite ?config ?ir_cache ?routine_cache ~transforms binary =
-  match rewrite ?config ?ir_cache ?routine_cache ~transforms binary with
+let try_rewrite ?config ?ir_cache ~transforms binary =
+  match rewrite ?config ?ir_cache ~transforms binary with
   | r -> Ok r
   | exception Reassemble.Failure_ msg -> Error ("reassembly failed: " ^ msg)
   | exception Stdlib.Failure msg -> Error ("pipeline failure: " ^ msg)
   | exception Invalid_argument msg -> Error ("pipeline invalid argument: " ^ msg)
   | exception Not_found -> Error "pipeline failure: lookup failed (Not_found)"
 
-let rewrite_bytes ?config ?ir_cache ?routine_cache ~transforms raw =
+let rewrite_bytes ?config ?ir_cache ?routine_cache:(_ : Delta.t option) ~transforms raw =
   match Zelf.Binary.parse raw with
   | Error e -> Error (Format.asprintf "parse error: %a" Zelf.Binary.pp_parse_error e)
   | Ok binary ->
       Result.map
         (fun r -> Zelf.Binary.serialize r.rewritten)
-        (try_rewrite ?config ?ir_cache ?routine_cache ~transforms binary)
+        (try_rewrite ?config ?ir_cache ~transforms binary)

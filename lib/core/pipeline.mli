@@ -39,17 +39,10 @@ val add_timing : timing -> timing -> timing
 (** Per-phase sum; commutative, so a corpus aggregate is independent of
     completion order. *)
 
-type cache_stats = {
-  ir_cache_hits : int;
-  ir_cache_misses : int;
-  routine_hits : int;  (** routine chunks served from the delta cache *)
-  routine_misses : int;  (** routine chunks rebuilt (or all, on fallback) *)
-  delta_builds : int;  (** rewrites whose IR came from a partial stitch *)
-}
-(** Per-rewrite cache outcome.  [ir_cache_*] report the snapshot cache
-    (at most one of the two is 1, both 0 when no cache was supplied);
-    the [routine_*] and [delta_builds] fields report the routine-granular
-    delta cache.  Aggregated over a corpus with {!add_cache_stats}. *)
+type cache_stats = { ir_cache_hits : int; ir_cache_misses : int }
+(** Per-rewrite snapshot-cache outcome: at most one of the two is 1, both
+    0 when no cache was supplied.  Aggregated over a corpus with
+    {!add_cache_stats}. *)
 
 val zero_cache_stats : cache_stats
 val add_cache_stats : cache_stats -> cache_stats -> cache_stats
@@ -73,7 +66,6 @@ val ir_cache_key :
 val rewrite :
   ?config:config ->
   ?ir_cache:Irdb.Cache.t ->
-  ?routine_cache:Delta.t ->
   transforms:Transform.t list ->
   Zelf.Binary.t ->
   result
@@ -91,18 +83,11 @@ val rewrite :
     On a miss — or a payload {!Ir_construction.restore} rejects — the IR
     is built cold and its snapshot (re)stored.  [timing.ir_construction_s]
     covers whichever path ran; [result.cache] says which it was.  The
-    cache may be shared across domains.
-
-    With [routine_cache], the routine-granular delta path ({!Delta}) is
-    consulted first: a whole-binary memo hit or a validated stitch of
-    cached routine fragments replaces IR construction entirely, and any
-    cold build is harvested back into the cache.  Outputs are
-    byte-identical to the uncached pipeline either way. *)
+    cache may be shared across domains. *)
 
 val try_rewrite :
   ?config:config ->
   ?ir_cache:Irdb.Cache.t ->
-  ?routine_cache:Delta.t ->
   transforms:Transform.t list ->
   Zelf.Binary.t ->
   (result, string) Stdlib.result
@@ -120,4 +105,5 @@ val rewrite_bytes :
   (bytes, string) Stdlib.result
 (** File-level convenience: parse, rewrite, serialize.  Total like
     {!try_rewrite}: parse errors and pipeline exceptions are rendered
-    into [Error], never raised. *)
+    into [Error], never raised.  [routine_cache] is ignored; it stays
+    for callers of the retired delta cache ({!Delta}). *)

@@ -80,8 +80,8 @@ val of_recursive : ?infer:bool -> Zelf.Binary.t -> Recursive.t -> t
 (** The aggregate of a traversal linear sweep agrees with: Code on the
     reached bytes with the traversal's instructions as boundaries, Data
     elsewhere, all case 1, no warnings; with [~infer:true], pin hints
-    from {!Infer.resolve_pins} over those boundaries.  {!run} and the
-    delta cache's validated stitch use it. *)
+    from {!Infer.resolve_pins} over those boundaries.  {!run} returns
+    it when the two sweeps agree. *)
 
 val combine : Zelf.Binary.t -> Linear.t -> Recursive.t -> t
 (** Two-way aggregation, for tests that want to inject disassembler

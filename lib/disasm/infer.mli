@@ -48,9 +48,8 @@ val resolve_pins : Zelf.Binary.t -> insns:(int, Zvm.Insn.t * int) Hashtbl.t -> i
     instruction map (sorted, unique).  On a binary whose aggregation has
     no ambiguity the full inference pass performs exactly one resolution
     round over exactly this map, so {!Aggregate.of_recursive} (the cold
-    path when the two primary sweeps agree, and the delta cache's
-    stitch) uses this to reproduce [run]'s [pin_hints] without
-    re-running discovery. *)
+    path when the two primary sweeps agree) uses this to reproduce
+    [run]'s [pin_hints] without re-running discovery. *)
 
 val round_bound : Zelf.Binary.t -> int
 (** Static bound on [rounds] for the termination property: the worklist

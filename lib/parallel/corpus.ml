@@ -41,7 +41,7 @@ type report = {
 (* The per-item task: total by construction.  [Pipeline.try_rewrite]
    renders pipeline exceptions; parse errors are rendered here; both
    leave the worker alive for the next item. *)
-let rewrite_one ?ir_cache ?routine_cache ~config ~transforms ~corpus_seed (index, it) =
+let rewrite_one ?ir_cache ~config ~transforms ~corpus_seed (index, it) =
   let seed = Rng.derive ~corpus_seed ~index in
   let config = { config with Zipr.Pipeline.seed } in
   let result =
@@ -60,12 +60,12 @@ let rewrite_one ?ir_cache ?routine_cache ~config ~transforms ~corpus_seed (index
               timing = r.Zipr.Pipeline.timing;
               cache = r.Zipr.Pipeline.cache;
             })
-          (Zipr.Pipeline.try_rewrite ~config ?ir_cache ?routine_cache ~transforms binary)
+          (Zipr.Pipeline.try_rewrite ~config ?ir_cache ~transforms binary)
   in
   (seed, result)
 
 let rewrite_all ?(jobs = 1) ?(config = Zipr.Pipeline.default_config) ?(transforms = [])
-    ?ir_cache ?routine_cache ~corpus_seed items =
+    ?ir_cache ~corpus_seed items =
   Obs.span "corpus" (fun () ->
   (* 0 means auto-detect, same rule as every other jobs knob; the report
      carries the resolved value so runs are self-describing. *)
@@ -74,7 +74,7 @@ let rewrite_all ?(jobs = 1) ?(config = Zipr.Pipeline.default_config) ?(transform
   Obs.count "corpus.binaries" (Array.length arr);
   let n = Array.length arr in
   let tagged = Array.mapi (fun i it -> (i, it)) arr in
-  let task = rewrite_one ?ir_cache ?routine_cache ~config ~transforms ~corpus_seed in
+  let task = rewrite_one ?ir_cache ~config ~transforms ~corpus_seed in
   (* Domain spawn is pool overhead, not rewriting: keep it out of
      [wall_clock_s] (and report it separately) so the speedup numbers
      compare work against work, not work against work-plus-startup. *)
@@ -153,16 +153,13 @@ let pp_report ppf r =
      %.3fs@,\
      merged: %a@,\
      merged timing: ir %.3fs transform %.3fs reassembly %.3fs@,\
-     ir-cache: %d hits, %d misses@,\
-     routine-cache: %d hits, %d misses, %d delta builds@,"
+     ir-cache: %d hits, %d misses@,"
     (r.ok + r.failed) r.ok r.failed r.jobs r.corpus_seed r.wall_clock_s r.pool_spawn_s
     r.rewrite_total_s r.queue_wait_total_s r.queue_wait_max_s Zipr.Reassemble.pp_stats
     r.merged_stats r.merged_timing.Zipr.Pipeline.ir_construction_s
     r.merged_timing.Zipr.Pipeline.transformation_s
     r.merged_timing.Zipr.Pipeline.reassembly_s r.merged_cache.Zipr.Pipeline.ir_cache_hits
-    r.merged_cache.Zipr.Pipeline.ir_cache_misses
-    r.merged_cache.Zipr.Pipeline.routine_hits r.merged_cache.Zipr.Pipeline.routine_misses
-    r.merged_cache.Zipr.Pipeline.delta_builds;
+    r.merged_cache.Zipr.Pipeline.ir_cache_misses;
   (* Aggregator byte accounting, merged over the corpus with the tally
      monoid — independent of job count and completion order. *)
   Format.fprintf ppf "merged aggregation:%s@,"

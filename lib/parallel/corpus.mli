@@ -75,7 +75,6 @@ val rewrite_all :
   ?config:Zipr.Pipeline.config ->
   ?transforms:Zipr.Transform.t list ->
   ?ir_cache:Irdb.Cache.t ->
-  ?routine_cache:Zipr.Delta.t ->
   corpus_seed:int ->
   item list ->
   report
@@ -91,12 +90,7 @@ val rewrite_all :
     mutex-protected): repeat rewrites of a binary already in the cache
     restore its IR instead of rebuilding it.  Because a restored IR is
     identical to a cold build, outputs stay byte-identical whatever mix
-    of hits and misses — and whatever [jobs] value — the run sees.
-
-    [routine_cache] is likewise shared across workers: the delta path
-    serves whole IRs from its memo and stitches partially changed
-    binaries from cached routine fragments, with the same byte-identity
-    guarantee (see {!Zipr.Delta}). *)
+    of hits and misses — and whatever [jobs] value — the run sees. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable corpus summary (counts, merged stats, shard and queue

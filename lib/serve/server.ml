@@ -31,7 +31,6 @@ type config = {
   cache_dir : string option;
   cache_disk_entries : int option;
   cache_disk_bytes : int option;
-  delta : bool;
   defaults : Zipr.Options.t;  (* the knobs a request leaves unset *)
 }
 
@@ -45,7 +44,6 @@ let default_config =
     cache_dir = None;
     cache_disk_entries = None;
     cache_disk_bytes = None;
-    delta = false;
     defaults = Zipr.Options.default;
   }
 
@@ -69,15 +67,10 @@ type stats = {
   pings : int;
   cache_hits : int;
   cache_misses : int;
-  routine_hits : int;
-  routine_misses : int;
-  delta_builds : int;
   queue_high_water : int;
   queue_bound : int;
   cache_resident_bytes : int;
   cache_evictions : int;
-  routine_fragments : int;
-  routine_fragment_bytes : int;
 }
 
 type cells = {
@@ -92,9 +85,6 @@ type cells = {
   c_pings : int Atomic.t;
   c_cache_hits : int Atomic.t;
   c_cache_misses : int Atomic.t;
-  c_routine_hits : int Atomic.t;
-  c_routine_misses : int Atomic.t;
-  c_delta_builds : int Atomic.t;
 }
 
 type t = {
@@ -106,7 +96,6 @@ type t = {
   pool : Parallel.Pool.t;
   adm : Admission.t;
   cache : Irdb.Cache.t;
-  routine_cache : Zipr.Delta.t option;
   stop_flag : bool Atomic.t;
   c : cells;
 }
@@ -146,19 +135,6 @@ let create ?(config = default_config) ~resolve_transform addr =
         ~max_bytes:(max 1 config.cache_max_bytes) ?dir:config.cache_dir
         ?max_disk_entries:config.cache_disk_entries
         ?max_disk_bytes:config.cache_disk_bytes ();
-    routine_cache =
-      (if config.delta then
-         (* The fragment store shares the snapshot cache's directory and
-            disk bound (one prune counts both stores' files) and inherits
-            its byte budget; the memo holds IR snapshots and is
-            entry-bounded like the snapshot LRU. *)
-         Some
-           (Zipr.Delta.create
-              ~fragment_bytes:(max 1 config.cache_max_bytes)
-              ~memo_capacity:(max 1 config.cache_entries)
-              ?dir:config.cache_dir ?max_disk_entries:config.cache_disk_entries
-              ?max_disk_bytes:config.cache_disk_bytes ())
-       else None);
     stop_flag = Atomic.make false;
     c =
       {
@@ -173,9 +149,6 @@ let create ?(config = default_config) ~resolve_transform addr =
         c_pings = Atomic.make 0;
         c_cache_hits = Atomic.make 0;
         c_cache_misses = Atomic.make 0;
-        c_routine_hits = Atomic.make 0;
-        c_routine_misses = Atomic.make 0;
-        c_delta_builds = Atomic.make 0;
       };
   }
 
@@ -196,21 +169,10 @@ let stats t =
     pings = Atomic.get t.c.c_pings;
     cache_hits = Atomic.get t.c.c_cache_hits;
     cache_misses = Atomic.get t.c.c_cache_misses;
-    routine_hits = Atomic.get t.c.c_routine_hits;
-    routine_misses = Atomic.get t.c.c_routine_misses;
-    delta_builds = Atomic.get t.c.c_delta_builds;
     queue_high_water = Admission.high_water t.adm;
     queue_bound = Admission.bound t.adm;
     cache_resident_bytes = Irdb.Cache.resident_bytes t.cache;
     cache_evictions = Irdb.Cache.evictions t.cache;
-    routine_fragments =
-      (match t.routine_cache with
-      | Some d -> Zipr.Delta.fragment_entries d
-      | None -> 0);
-    routine_fragment_bytes =
-      (match t.routine_cache with
-      | Some d -> Zipr.Delta.fragment_bytes d
-      | None -> 0);
   }
 
 let stop t = Atomic.set t.stop_flag true
@@ -251,7 +213,7 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
    in the unprefixed lines below. *)
 let stats_text ~(rc : Zipr.Options.t) ~(config : Zipr.Pipeline.config) ~input_bytes
     ~output_bytes ~(rs : Zipr.Reassemble.stats) ~(tally : Disasm.Aggregate.tally)
-    ~cache_outcome ~(cache : Zipr.Pipeline.cache_stats) ~elapsed_us ~queue_wait_us =
+    ~cache_outcome ~elapsed_us ~queue_wait_us =
   String.concat ""
     [
       (* Aggregator per-case byte accounting, one det.agg.* line per
@@ -279,12 +241,9 @@ let stats_text ~(rc : Zipr.Options.t) ~(config : Zipr.Pipeline.config) ~input_by
       Printf.sprintf "det.sled_entries=%d\n" rs.Zipr.Reassemble.sled_entries;
       Printf.sprintf "det.sleds=%d\n" rs.Zipr.Reassemble.sleds;
       Printf.sprintf "det.transforms=%s\n" (String.concat "," rc.transforms);
-      Printf.sprintf "delta_builds=%d\n" cache.Zipr.Pipeline.delta_builds;
       Printf.sprintf "elapsed_us=%d\n" elapsed_us;
       Printf.sprintf "ir_cache=%s\n" cache_outcome;
       Printf.sprintf "queue_wait_us=%d\n" queue_wait_us;
-      Printf.sprintf "routine_hits=%d\n" cache.Zipr.Pipeline.routine_hits;
-      Printf.sprintf "routine_misses=%d\n" cache.Zipr.Pipeline.routine_misses;
     ]
 
 (* The request's set knobs win over the daemon's defaults; the
@@ -302,8 +261,7 @@ let exec_rewrite t ~id ~queue_wait_us (rc : Zipr.Options.t) payload =
       | Ok binary -> (
           let t0 = now () in
           match
-            Zipr.Pipeline.try_rewrite ~config ~ir_cache:t.cache
-              ?routine_cache:t.routine_cache ~transforms binary
+            Zipr.Pipeline.try_rewrite ~config ~ir_cache:t.cache ~transforms binary
           with
           | Error msg -> response ~id Protocol.Rewrite_error ~message:msg
           | Ok r ->
@@ -313,12 +271,6 @@ let exec_rewrite t ~id ~queue_wait_us (rc : Zipr.Options.t) payload =
               |> ignore;
               Atomic.fetch_and_add t.c.c_cache_misses cache.Zipr.Pipeline.ir_cache_misses
               |> ignore;
-              Atomic.fetch_and_add t.c.c_routine_hits cache.Zipr.Pipeline.routine_hits
-              |> ignore;
-              Atomic.fetch_and_add t.c.c_routine_misses cache.Zipr.Pipeline.routine_misses
-              |> ignore;
-              Atomic.fetch_and_add t.c.c_delta_builds cache.Zipr.Pipeline.delta_builds
-              |> ignore;
               let out = Zelf.Binary.serialize r.Zipr.Pipeline.rewritten in
               let stats =
                 stats_text ~rc ~config ~input_bytes:(String.length payload)
@@ -327,12 +279,8 @@ let exec_rewrite t ~id ~queue_wait_us (rc : Zipr.Options.t) payload =
                     r.Zipr.Pipeline.ir.Zipr.Ir_construction.aggregate
                       .Disasm.Aggregate.tally
                   ~cache_outcome:
-                    (if
-                       cache.Zipr.Pipeline.ir_cache_hits > 0
-                       || cache.Zipr.Pipeline.routine_hits > 0
-                     then "hit"
-                     else "miss")
-                  ~cache ~elapsed_us ~queue_wait_us
+                    (if cache.Zipr.Pipeline.ir_cache_hits > 0 then "hit" else "miss")
+                  ~elapsed_us ~queue_wait_us
               in
               response ~id Protocol.Ok_ ~stats ~payload:(Bytes.unsafe_to_string out)))
 

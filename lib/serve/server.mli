@@ -16,10 +16,8 @@
     The IR cache ({!cache}) is shared by all requests across all worker
     domains: concurrent clients rewriting the same input pay for IR
     construction once, bounded by [cache_entries] entries and
-    [cache_max_bytes] resident bytes (LRU eviction).  With [delta], the
-    routine fragments are a second {!Irdb.Rcache} instance with the same
-    byte budget, and [cache_dir] holds both stores' files under one disk
-    bound. *)
+    [cache_max_bytes] resident bytes (LRU eviction), and optionally
+    spilled to [cache_dir]. *)
 
 type config = {
   jobs : int;  (** worker domains *)
@@ -27,18 +25,10 @@ type config = {
   max_request_bytes : int;  (** reject larger request payloads with [Too_large] *)
   cache_entries : int;
   cache_max_bytes : int;
-  cache_dir : string option;
-      (** optional disk spill for the IR cache and, with [delta], the
-          routine fragments *)
+  cache_dir : string option;  (** optional disk spill for the IR cache *)
   cache_disk_entries : int option;
-      (** bound [cache_dir] to this many entry files of either store
-          (oldest pruned) *)
+      (** bound [cache_dir] to this many entry files (oldest pruned) *)
   cache_disk_bytes : int option;  (** bound [cache_dir]'s total size *)
-  delta : bool;
-      (** enable the shared routine-granular cache: requests are served
-          through {!Zipr.Delta} (a whole-binary memo of IR snapshots,
-          [cache_entries] of them, then routine-fragment stitching)
-          before falling back to the snapshot IR cache *)
   defaults : Zipr.Options.t;
       (** the optional knobs a request leaves unset; a request's set
           knobs win, and its transforms, placement and seed always do
@@ -48,7 +38,7 @@ type config = {
 
 val default_config : config
 (** jobs 2, queue bound 32, 64 MiB max request, 256-entry / 64 MiB
-    memory-only cache (disk layer unbounded when enabled), delta off,
+    memory-only cache (disk layer unbounded when enabled),
     {!Zipr.Options.default} (inference refiner off).  Fixed: a
     connection that goes quiet for 10 s mid-frame is dropped, and a ping
     sleeps at most 30 s. *)
@@ -65,15 +55,10 @@ type stats = {
   pings : int;
   cache_hits : int;
   cache_misses : int;
-  routine_hits : int;  (** routine-fragment + memo hits (delta mode) *)
-  routine_misses : int;
-  delta_builds : int;  (** IRs assembled by stitching cached fragments *)
   queue_high_water : int;
   queue_bound : int;
   cache_resident_bytes : int;
   cache_evictions : int;
-  routine_fragments : int;  (** resident routine-fragment entries *)
-  routine_fragment_bytes : int;
 }
 
 type t

@@ -1,6 +1,6 @@
 (* A corpus of successive versions of "the same" binary, built so that
-   version-to-version byte churn is *local*: the delta rewriter should
-   hit on every routine a version did not touch.
+   version-to-version byte churn is *local*: every routine a version did
+   not touch keeps its bytes.
 
    Three layout rules buy that locality (see DESIGN.md §12):
 
@@ -92,9 +92,7 @@ let emit_random_insn b rng =
 
 let conds = [| Zvm.Cond.Eq; Ne; Lt; Ge; Gt; Le |]
 
-(* One routine body.  Deterministic in (seed, id, variant, data_slot);
-   sized to clear the chunker's minimum chunk so each routine gets its
-   own cache entry. *)
+(* One routine body.  Deterministic in (seed, id, variant, data_slot). *)
 let emit_routine b ~seed ~id ~body_ops ~n_core st =
   let rng = routine_rng ~seed ~id st in
   B.label b (routine_label id);

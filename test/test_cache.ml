@@ -447,28 +447,29 @@ let test_disk_byte_bound () =
   Alcotest.(check bool) "pruning happened" true (Cache.disk_evictions c > 0)
 
 (* Two instances sharing one bounded directory: the prune counts both
-   instances' entry files against the one bound, and leaves every other
+   instances' entry files — and a [.zirr] routine fragment an older
+   release left there — against the one bound, and leaves every other
    file alone. *)
 let test_disk_bound_shared () =
   let dir = fresh_dir () in
   let c = Cache.create ~dir ~max_disk_entries:3 () in
-  let codec =
-    { Irdb.Rcache.magic = "TEST1"; ext = ".zirt"; encode = Fun.id; decode = Option.some }
+  let other = Cache.create ~dir ~max_disk_entries:3 () in
+  let write name s =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc s)
   in
-  let other =
-    Irdb.Rcache.create
-      ~disk:({ Irdb.Rcache.dir; max_entries = Some 3; max_bytes = None }, codec)
-      ~name:"test.other" ~weigh:String.length ()
-  in
-  Out_channel.with_open_bin (Filename.concat dir "notes.txt") (fun oc ->
-      output_string oc "not an entry");
+  write "notes.txt" "not an entry";
+  let fragment = Cache.key [ "fragment" ] ^ ".zirr" in
+  write fragment "ZIRFRAG1 stale";
+  Unix.utimes (Filename.concat dir fragment) 1.0 1.0;
   Cache.store c ~key:(Cache.key [ "s"; "0" ]) (pay 10);
-  Irdb.Rcache.store_all other
-    (List.init 4 (fun i -> (Cache.key [ "o"; string_of_int i ], pay 10)));
+  for i = 0 to 3 do
+    Cache.store other ~key:(Cache.key [ "o"; string_of_int i ]) (pay 10)
+  done;
   let entries = List.filter (( <> ) "notes.txt") (Array.to_list (Sys.readdir dir)) in
-  Alcotest.(check int) "both stores' files share the bound" 3 (List.length entries);
-  Alcotest.(check int) "the store that overflowed pruned" 2
-    (Irdb.Rcache.disk_evictions other);
+  Alcotest.(check int) "both instances' files share the bound" 3 (List.length entries);
+  Alcotest.(check bool) "the old fragment counted, and went first" false
+    (List.mem fragment entries);
+  Alcotest.(check int) "the instance that overflowed pruned" 3 (Cache.disk_evictions other);
   Alcotest.(check bool) "other files untouched" true
     (Sys.file_exists (Filename.concat dir "notes.txt"))
 
@@ -504,7 +505,7 @@ let prop_lru_model =
   QCheck.Test.make ~count:500 ~name:"LRU store matches a list model under both bounds"
     (QCheck.make ~print gen)
     (fun (capacity, max_bytes, ops) ->
-      let c = Irdb.Rcache.create ~capacity ?max_bytes ~name:"test.model" ~weigh:Fun.id () in
+      let c = Cache.create ~capacity ?max_bytes () in
       (* Model: (key, weight) pairs, newest first; an entry charges its
          key length plus its weight. *)
       let model = ref [] and evictions = ref 0 and oversize = ref 0 in
@@ -515,10 +516,10 @@ let prop_lru_model =
             let k = Printf.sprintf "k%d" k in
             let want = List.assoc_opt k !model in
             Option.iter (fun w -> model := (k, w) :: List.remove_assoc k !model) want;
-            Irdb.Rcache.find c k = want
+            Cache.find c k = Option.map pay want
         | Store (k, w) ->
             let k = Printf.sprintf "k%d" k in
-            Irdb.Rcache.store c ~key:k w;
+            Cache.store c ~key:k (pay w);
             let rest = List.remove_assoc k !model in
             if over_budget [ (k, w) ] then begin
               incr oversize;
@@ -540,10 +541,10 @@ let prop_lru_model =
       List.for_all
         (fun op ->
           step op
-          && Irdb.Rcache.evictions c = !evictions
-          && Irdb.Rcache.oversize_skips c = !oversize
-          && Irdb.Rcache.mem_entries c = List.length !model
-          && Irdb.Rcache.resident_bytes c = bytes !model)
+          && Cache.evictions c = !evictions
+          && Cache.oversize_skips c = !oversize
+          && Cache.mem_entries c = List.length !model
+          && Cache.resident_bytes c = bytes !model)
         ops)
 
 (* The snapshot cache reports under the [irdb.cache.*] names of DESIGN

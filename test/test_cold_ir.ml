@@ -99,36 +99,6 @@ let test_large_member () =
   takes_shortcut true member;
   same_snapshots member
 
-(* -- composition with the delta cache: a shortcut cold build feeds the
-      fragment harvest, the next version stitches from those fragments
-      into the IR the cold path builds, and the memo serves the repeat.
-      With no transforms, reassembly leaves the IR pristine, so the
-      pipeline's IR compares snapshot for snapshot. -- *)
-
-let test_composes_with_delta () =
-  let vs = versions 3 in
-  let v0 = (List.nth vs 0).Versioned.binary and v1 = (List.nth vs 1).Versioned.binary in
-  List.iter
-    (fun infer ->
-      let what fmt = Printf.ksprintf (Printf.sprintf "infer %b: %s" infer) fmt in
-      let config = { Zipr.Pipeline.default_config with Zipr.Pipeline.infer } in
-      let cold0 = Ir.snapshot (Ir.build ~infer v0) and cold1 = Ir.snapshot (Ir.build ~infer v1) in
-      let dc = Zipr.Delta.create () in
-      let rewrite name cold binary =
-        match Zipr.Pipeline.try_rewrite ~config ~routine_cache:dc ~transforms:[] binary with
-        | Error m -> Alcotest.failf "%s: %s" name m
-        | Ok r ->
-            Alcotest.(check string) (what "%s IR = cold build" name) cold
-              (Ir.snapshot r.Zipr.Pipeline.ir);
-            r.Zipr.Pipeline.cache.Zipr.Pipeline.delta_builds
-      in
-      Alcotest.(check int) (what "v0 built through the shortcut") 1
-        (validated (fun () -> ignore (rewrite "v0" cold0 v0)));
-      Alcotest.(check int) (what "v1 stitched") 1 (rewrite "v1" cold1 v1);
-      Alcotest.(check int) (what "the memo serves the repeat") 0
-        (validated (fun () -> ignore (rewrite "v1 again" cold1 v1))))
-    [ false; true ]
-
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -136,6 +106,4 @@ let suite =
     Alcotest.test_case "shortcut taken only where the sweeps agree" `Quick test_which_path;
     Alcotest.test_case "large class: >= 256 KiB text, deterministic" `Quick test_large_class;
     Alcotest.test_case "large member: shortcut = three sources" `Slow test_large_member;
-    Alcotest.test_case "shortcut cold build composes with delta cache" `Quick
-      test_composes_with_delta;
   ]

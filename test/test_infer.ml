@@ -1,7 +1,7 @@
 (* The inference refiner (Disasm.Infer): soundness against the primary
    sources, refinement monotonicity, the static termination bound,
    byte-identity with the refiner off, composition with the validated
-   cold path and the delta cache, and the differential soundness gate
+   cold path and the IR cache, and the differential soundness gate
    over the adversarial corpus. *)
 
 module Agg = Disasm.Aggregate
@@ -10,9 +10,9 @@ module Adv = Workloads.Adversarial
 
 let transforms = [ Transforms.Null.transform ]
 
-let rewrite ?routine_cache ?(infer = false) binary =
+let rewrite ?ir_cache ?(infer = false) binary =
   let config = { Zipr.Pipeline.default_config with Zipr.Pipeline.infer } in
-  match Zipr.Pipeline.try_rewrite ?routine_cache ~config ~transforms binary with
+  match Zipr.Pipeline.try_rewrite ?ir_cache ~config ~transforms binary with
   | Ok r -> r
   | Error m -> Alcotest.failf "rewrite failed: %s" m
 
@@ -156,25 +156,30 @@ let test_pin_hints_reach_ibt () =
         (List.mem_assoc a pins))
     agg.Agg.pin_hints
 
-(* -- composition: the delta cache reproduces the cold [--infer] build
+(* -- composition: the IR cache reproduces the cold [--infer] build
       byte for byte -- *)
 
-let test_composes_with_delta () =
+let test_composes_with_ir_cache () =
   let b = (Adv.masked_dispatch ~tests:0 ()).Workloads.Synthetic.binary in
   let plain = rewrite ~infer:true b in
-  let dc = Zipr.Delta.create () in
-  let cold = rewrite ~routine_cache:dc ~infer:true b in
-  Alcotest.(check bool) "delta cold = plain under --infer" true
+  let ir_cache = Irdb.Cache.create () in
+  let hits (r : Zipr.Pipeline.result) = r.Zipr.Pipeline.cache.Zipr.Pipeline.ir_cache_hits in
+  let misses (r : Zipr.Pipeline.result) =
+    r.Zipr.Pipeline.cache.Zipr.Pipeline.ir_cache_misses
+  in
+  let cold = rewrite ~ir_cache ~infer:true b in
+  Alcotest.(check bool) "cold miss = plain under --infer" true
     (Bytes.equal (out plain) (out cold));
-  let warm = rewrite ~routine_cache:dc ~infer:true b in
-  Alcotest.(check bool) "delta warm = plain under --infer" true
+  Alcotest.(check int) "cold run misses" 1 (misses cold);
+  let warm = rewrite ~ir_cache ~infer:true b in
+  Alcotest.(check bool) "warm hit = plain under --infer" true
     (Bytes.equal (out plain) (out warm));
-  Alcotest.(check bool) "warm served by the memo" true
-    (warm.Zipr.Pipeline.cache.Zipr.Pipeline.routine_hits > 0);
+  Alcotest.(check int) "warm served by the IR cache" 1 (hits warm);
   (* The same cache must keep serving the refiner-off variant from a
      distinct key: bytes differ from the --infer build, never mix. *)
-  let off = rewrite ~routine_cache:dc ~infer:false b in
-  Alcotest.(check bool) "off variant keyed separately" true
+  let off = rewrite ~ir_cache ~infer:false b in
+  Alcotest.(check int) "off variant keyed separately" 1 (misses off);
+  Alcotest.(check bool) "off variant = plain --infer-off rewrite" true
     (Bytes.equal (out off) (out (rewrite ~infer:false b)))
 
 (* -- the differential soundness gate -- *)
@@ -216,7 +221,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       (Test_cold_ir.prop_build_equals_three_sources ~infer:true
          ~name:"composes with the validated cold path");
-    Alcotest.test_case "composes with the delta cache" `Slow test_composes_with_delta;
+    Alcotest.test_case "composes with the IR cache" `Slow test_composes_with_ir_cache;
     Alcotest.test_case "differential gate over the adversarial corpus" `Slow
       test_differential_adversarial;
     Alcotest.test_case "fuzz driver runs with inference on" `Slow test_fuzz_driver_with_infer;

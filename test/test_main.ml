@@ -30,7 +30,6 @@ let () =
       ("ir-cache", Test_cache.suite);
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);
-      ("delta", Test_delta.suite);
       ("placement-search", Test_placement_search.suite);
       ("cold-ir", Test_cold_ir.suite);
       ("infer", Test_infer.suite);

@@ -518,20 +518,14 @@ let test_shared_cache_hits () =
       Alcotest.(check bool) "cache resident bytes visible" true
         (s.Server.cache_resident_bytes > 0))
 
-(* The disk bound covers the whole --cache directory: a delta daemon's
-   snapshot entries and routine fragments share it, so four versions of
+(* The disk bound covers the whole --cache directory: four versions of
    one project leave at most [cache_disk_entries] files behind, and every
    reply still equals the offline rewrite. *)
-let test_delta_disk_bound () =
+let test_disk_bound () =
   let dir = Filename.temp_file "zipr_serve_cache" "" in
   Sys.remove dir;
   let config =
-    {
-      Server.default_config with
-      Server.delta = true;
-      cache_dir = Some dir;
-      cache_disk_entries = Some 2;
-    }
+    { Server.default_config with Server.cache_dir = Some dir; cache_disk_entries = Some 2 }
   in
   let versions = Workloads.Versioned.generate ~seed:3 ~versions:4 () in
   let transforms = List.filter_map Transforms.Registry.by_name [ "cfi" ] in
@@ -695,8 +689,7 @@ let suite =
     Alcotest.test_case "served rewrites byte-identical to pipeline (1 and 8 clients)" `Slow
       test_served_byte_identity;
     Alcotest.test_case "concurrent clients share one IR cache" `Quick test_shared_cache_hits;
-    Alcotest.test_case "delta daemon keeps its cache directory in bounds" `Quick
-      test_delta_disk_bound;
+    Alcotest.test_case "daemon keeps its cache directory in bounds" `Quick test_disk_bound;
     Alcotest.test_case "ping echoes its payload" `Quick test_ping_echoes;
     Alcotest.test_case "bad requests answered, not dropped" `Quick test_server_rejects_nonsense;
     Alcotest.test_case "oversized requests answered with too_large" `Quick test_server_too_large;

@@ -57,6 +57,32 @@ let test_jvm_size_ratio () =
     true
     (ratio >= 2.5 && ratio <= 8.0)
 
+(* Versions are a pure function of the seed, and v0 carries no edits. *)
+let test_versioned_deterministic () =
+  let module Versioned = Workloads.Versioned in
+  let serialize b = Zelf.Binary.serialize b in
+  let a = Versioned.generate ~seed:5 ~versions:3 () in
+  let b = Versioned.generate ~seed:5 ~versions:3 () in
+  List.iter2
+    (fun (x : Versioned.version) (y : Versioned.version) ->
+      Alcotest.(check bool)
+        ("version " ^ x.Versioned.name ^ " reproducible")
+        true
+        (Bytes.equal (serialize x.Versioned.binary) (serialize y.Versioned.binary)))
+    a b;
+  let c = Versioned.generate ~seed:6 ~versions:3 () in
+  Alcotest.(check bool) "seed changes bytes" false
+    (Bytes.equal
+       (serialize (List.hd a).Versioned.binary)
+       (serialize (List.hd c).Versioned.binary));
+  List.iteri
+    (fun i (v : Versioned.version) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "v%d edit list %s" i (if i = 0 then "empty" else "non-empty"))
+        (i = 0)
+        (v.Versioned.edits = []))
+    a
+
 let suite =
   [
     Alcotest.test_case "libc-like null" `Slow test_libc_like;
@@ -66,4 +92,5 @@ let suite =
     Alcotest.test_case "apache-like cfi" `Slow test_apache_with_cfi;
     Alcotest.test_case "libc-like pov vs cfi" `Slow test_libc_pov_blocked_by_cfi;
     Alcotest.test_case "jvm/libc size ratio" `Quick test_jvm_size_ratio;
+    Alcotest.test_case "versioned corpus is deterministic" `Quick test_versioned_deterministic;
   ]
