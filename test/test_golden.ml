@@ -106,8 +106,8 @@ let inputs () =
         ("adversarial", s.Workloads.Adversarial.name, true, s.Workloads.Adversarial.binary))
       (Workloads.Adversarial.all ())
 
-let recorded () =
-  let path = Filename.concat (Filename.dirname Sys.executable_name) "golden_snapshots.txt" in
+let recorded_file name =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) name in
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "" && l.[0] <> '#')
@@ -132,6 +132,66 @@ let test_snapshots_match () =
         Printf.sprintf "%s %s %s" corpus name (Digest.to_hex (Digest.string text)))
       (inputs ())
   in
-  Alcotest.(check (list string)) "snapshot digests" (recorded ()) computed
+  Alcotest.(check (list string)) "snapshot digests" (recorded_file "golden_snapshots.txt") computed
 
-let suite = [ Alcotest.test_case "snapshot digests match the record" `Quick test_snapshots_match ]
+(* Golden transform digests: the MD5 of [Pipeline.rewrite_bytes] for
+   each input under each frame-transform chain -- cfi, stack-pad, canary
+   and shadow-stack alone, and every ordered pair of two different ones.
+   The record lives in golden_transforms.txt.  Each input's IR is built
+   once and restored from an in-memory cache for its chains, which the
+   pipeline guarantees is byte-identical to a cold build. *)
+
+let frame_transforms = [ "cfi"; "stack-pad"; "canary"; "shadow-stack" ]
+
+let chains =
+  List.map (fun a -> [ a ]) frame_transforms
+  @ List.concat_map
+      (fun a -> List.filter_map (fun b -> if a = b then None else Some [ a; b ]) frame_transforms)
+      frame_transforms
+
+(* The 62 CBs, then versions 0-1 of the 8 Versioned projects the
+   versioned-delta benchmark serves (corpus seed 2016). *)
+let transform_inputs () =
+  List.init Cgc.Corpus.size (fun i ->
+      let e = Cgc.Corpus.entry ~pollers_per_cb:0 i in
+      ("cgc", e.Cgc.Corpus.name, e.Cgc.Corpus.binary))
+  @ List.concat
+      (List.init 8 (fun p ->
+           Workloads.Versioned.generate
+             ~seed:(Zipr_util.Rng.derive ~corpus_seed:2016 ~index:p)
+             ~versions:2 ()
+           |> List.map (fun (v : Workloads.Versioned.version) ->
+                  ( "versioned",
+                    Printf.sprintf "p%d-%s" p v.Workloads.Versioned.name,
+                    v.Workloads.Versioned.binary ))))
+
+let transform_lines () =
+  List.concat_map
+    (fun (corpus, name, binary) ->
+      let bytes = Zelf.Binary.serialize binary in
+      let ir_cache = Irdb.Cache.create ~capacity:1 () in
+      List.map
+        (fun chain ->
+          let transforms = List.filter_map Transforms.Registry.by_name chain in
+          let digest =
+            match Zipr.Pipeline.rewrite_bytes ~ir_cache ~transforms bytes with
+            | Ok out -> Digest.to_hex (Digest.bytes out)
+            | Error e -> "error:" ^ String.map (fun c -> if c = ' ' then '_' else c) e
+          in
+          Printf.sprintf "%s %s %s %s" corpus name (String.concat "," chain) digest)
+        chains)
+    (transform_inputs ())
+
+let test_transforms_match () =
+  let recorded = recorded_file "golden_transforms.txt" and computed = transform_lines () in
+  if List.length recorded = List.length computed then
+    List.iter2
+      (fun r c -> if r <> c then Printf.eprintf "golden transforms: expected %s\n  got      %s\n" r c)
+      recorded computed;
+  Alcotest.(check (list string)) "transform digests" recorded computed
+
+let suite =
+  [
+    Alcotest.test_case "snapshot digests match the record" `Quick test_snapshots_match;
+    Alcotest.test_case "transform digests match the record" `Quick test_transforms_match;
+  ]
