@@ -208,15 +208,6 @@ let funcs t = List.rev t.functions
 
 let set_func t id fid = (row t id).func <- Some fid
 
-let func_insns t fid =
-  let acc = ref [] in
-  for id = t.next_id - 1 downto 0 do
-    match t.rows.(id) with
-    | Some r when r.func = Some fid -> acc := id :: !acc
-    | _ -> ()
-  done;
-  !acc
-
 let add_section t s = t.extra_sections <- s :: t.extra_sections
 
 let added_sections t = List.rev t.extra_sections

@@ -116,8 +116,6 @@ val entry : t -> insn_id
 val add_func : t -> fname:string -> entry:insn_id -> int
 val funcs : t -> func list
 val set_func : t -> insn_id -> int -> unit
-val func_insns : t -> int -> insn_id list
-(** Rows assigned to the function, ascending id. *)
 
 (* Transform-added data *)
 

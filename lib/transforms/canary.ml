@@ -4,120 +4,38 @@ open Zvm
 
 let violation_status = 141
 
-(* Padding is only sound when control cannot leave the function except by
-   its own returns (or by terminating): an intraprocedural edge into
-   another function would run that function's returns against our
-   adjusted frame. *)
-let escapes_function db fid =
-  let leaves link =
-    match link with
-    | None -> false
-    | Some t -> (
-        match Db.row db t with
-        | exception Not_found -> true
-        | tr -> tr.Db.func <> Some fid)
-  in
-  List.exists
-    (fun id ->
-      match Db.row db id with
-      | exception Not_found -> false
-      | r -> (
-          match r.Db.insn with
-          | Insn.Call _ | Insn.Callr _ -> leaves r.Db.fallthrough
-          | _ -> leaves r.Db.fallthrough || leaves r.Db.target))
-    (Db.func_insns db fid)
-
-
 let apply ~seed db =
   let rng = Rng.create seed in
   let violation =
     Db.append_chain db [ Insn.Movi (Reg.R0, violation_status); Insn.Sys 0 ]
   in
   List.iter
-    (fun (f : Db.func) ->
-      match Db.row db f.Db.entry with
-      | exception Not_found -> ()
-      | entry_row ->
-          let rets =
-            List.filter
-              (fun id ->
-                match Db.row db id with
-                | exception Not_found -> false
-                | r -> (not r.Db.fixed) && r.Db.insn = Insn.Ret)
-              (Db.func_insns db f.Db.fid)
-          in
-          let entry_is_loop_head =
-            List.exists
-              (fun id ->
-                match Db.row db id with
-                | exception Not_found -> false
-                | r -> r.Db.target = Some f.Db.entry)
-              (Db.func_insns db f.Db.fid)
-          in
-          let entry_is_fallthrough_target =
-            let found = ref false in
-            Db.iter db (fun r -> if r.Db.fallthrough = Some f.Db.entry then found := true);
-            !found
-          in
-          (* A pinned row past the entry is a potential second entry: an
-             indirect arrival there would skip the canary push but still
-             run the check before ret.  Return sites (a call's
-             fallthrough) are exempt — control only reaches them after
-             the prologue has already pushed the cookie. *)
-          let return_sites =
-            let sites = Hashtbl.create 8 in
-            Db.iter db (fun r ->
-                match r.Db.insn with
-                | Insn.Call _ | Insn.Callr _ -> (
-                    match r.Db.fallthrough with
-                    | Some t -> Hashtbl.replace sites t ()
-                    | None -> ())
-                | _ -> ());
-            sites
-          in
-          let has_secondary_entry =
-            List.exists
-              (fun id ->
-                id <> f.Db.entry
-                && (not (Hashtbl.mem return_sites id))
-                &&
-                match Db.row db id with
-                | exception Not_found -> false
-                | r -> r.Db.pinned <> None)
-              (Db.func_insns db f.Db.fid)
-          in
-          (* Only instrument functions that actually return: the canary
-             must be popped on every exit path we can see. *)
-          if
-            (not entry_row.Db.fixed)
-            && (not entry_is_loop_head)
-            && (not entry_is_fallthrough_target)
-            && (not has_secondary_entry)
-            && (not (escapes_function db f.Db.fid))
-            && rets <> []
-          then begin
-            let cookie = Int64.to_int (Int64.logand (Rng.bits64 rng) 0x7fffffffL) in
-            (* Rets first, entry last: if the entry row is itself a ret
-               (single-instruction function), insert_before steals its
-               identity, and instrumenting the entry first would land the
-               check sequence in front of the cookie push. *)
-            List.iter
-              (fun ret ->
-                (* push r0; load r0,[sp+4]; cmpi; jne violation; pop r0;
-                   addi sp,4 (drop canary); ret *)
-                ignore (Db.insert_before db ret (Insn.Push Reg.R0));
-                let cur = ref ret in
-                let add insn = cur := Db.insert_after db !cur insn in
-                add (Insn.Load { dst = Reg.R0; base = Reg.SP; disp = 4 });
-                add (Insn.Cmpi (Reg.R0, cookie));
-                add (Insn.Jcc (Cond.Ne, Insn.Near, 0));
-                Db.set_target db !cur (Some violation);
-                add (Insn.Pop Reg.R0);
-                add (Insn.Alui (Insn.Addi, Reg.SP, 4)))
-              rets;
-            ignore (Db.insert_before db f.Db.entry (Insn.Pushi cookie))
-          end)
-    (Db.funcs db)
+    (fun (f : Frame.func) ->
+      (* A pinned secondary entry would let an indirect arrival skip the
+         cookie push but still run the check before ret. *)
+      if Frame.eligible f && not f.Frame.secondary_entry then begin
+        let cookie = Int64.to_int (Int64.logand (Rng.bits64 rng) 0x7fffffffL) in
+        (* Rets first, entry last: if the entry row is itself a ret
+           (single-instruction function), insert_before steals its
+           identity, and instrumenting the entry first would land the
+           check sequence in front of the cookie push. *)
+        List.iter
+          (fun ret ->
+            (* push r0; load r0,[sp+4]; cmpi; jne violation; pop r0;
+               addi sp,4 (drop canary); ret *)
+            ignore (Db.insert_before db ret (Insn.Push Reg.R0));
+            let cur = ref ret in
+            let add insn = cur := Db.insert_after db !cur insn in
+            add (Insn.Load { dst = Reg.R0; base = Reg.SP; disp = 4 });
+            add (Insn.Cmpi (Reg.R0, cookie));
+            add (Insn.Jcc (Cond.Ne, Insn.Near, 0));
+            Db.set_target db !cur (Some violation);
+            add (Insn.Pop Reg.R0);
+            add (Insn.Alui (Insn.Addi, Reg.SP, 4)))
+          f.Frame.rets;
+        ignore (Db.insert_before db f.Frame.func.Db.entry (Insn.Pushi cookie))
+      end)
+    (Frame.analyse db)
 
 let make ~seed () =
   Zipr.Transform.make ~name:"canary"

@@ -10,7 +10,8 @@
     diversified instances of the same binary require different forged
     values.
 
-    Skips functions whose entry is a loop head, like {!Stack_pad}. *)
+    Instruments the functions {!Frame.eligible} admits, like
+    {!Stack_pad}, except those with a pinned secondary entry. *)
 
 val violation_status : int
 (** 141: distinguishable from both clean exits and CFI violations. *)

@@ -3,58 +3,8 @@ open Zvm
 
 let violation_status = 142
 
-(* Same function-eligibility analysis as the canary transform. *)
-let eligible db (f : Db.func) =
-  match Db.row db f.Db.entry with
-  | exception Not_found -> false
-  | entry_row ->
-      let members = Db.func_insns db f.Db.fid in
-      let entry_is_loop_head =
-        List.exists
-          (fun id ->
-            match Db.row db id with
-            | exception Not_found -> false
-            | r -> r.Db.target = Some f.Db.entry)
-          members
-      in
-      let entry_is_fallthrough_target =
-        let found = ref false in
-        Db.iter db (fun r -> if r.Db.fallthrough = Some f.Db.entry then found := true);
-        !found
-      in
-      let leaves link =
-        match link with
-        | None -> false
-        | Some t -> (
-            match Db.row db t with
-            | exception Not_found -> true
-            | tr -> tr.Db.func <> Some f.Db.fid)
-      in
-      let escapes =
-        List.exists
-          (fun id ->
-            match Db.row db id with
-            | exception Not_found -> false
-            | r -> (
-                match r.Db.insn with
-                | Insn.Call _ | Insn.Callr _ -> leaves r.Db.fallthrough
-                | _ -> leaves r.Db.fallthrough || leaves r.Db.target))
-          members
-      in
-      let rets =
-        List.exists
-          (fun id ->
-            match Db.row db id with
-            | exception Not_found -> false
-            | r -> (not r.Db.fixed) && r.Db.insn = Insn.Ret)
-          members
-      in
-      (not entry_row.Db.fixed) && (not entry_is_loop_head) && (not entry_is_fallthrough_target)
-      && (not escapes) && rets
-
 let apply ~region_bytes db =
-  let snapshot_funcs = Db.funcs db in
-  let snapshot_rows = Db.ids db in
+  let protected = List.filter Frame.eligible (Frame.analyse db) in
   (* Shadow region (bss: no file bytes) and cursor cell (data). *)
   let region_base = Db.next_free_vaddr db in
   Db.add_section db
@@ -108,27 +58,20 @@ let apply ~region_bytes db =
           insn Insn.Ret;
         ])
   in
-  let protected_fids =
-    List.filter_map (fun f -> if eligible db f then Some f.Db.fid else None) snapshot_funcs
-  in
-  let protect_entry (f : Db.func) =
-    ignore (Db.insert_before db f.Db.entry (Insn.Call 0));
-    Db.set_target db f.Db.entry (Some shadow_push)
-  in
   List.iter
-    (fun f -> if List.mem f.Db.fid protected_fids then protect_entry f)
-    snapshot_funcs;
-  List.iter
-    (fun id ->
-      match Db.row db id with
-      | exception Not_found -> ()
-      | r -> (
-          match (r.Db.insn, r.Db.func) with
-          | Insn.Ret, Some fid when (not r.Db.fixed) && List.mem fid protected_fids ->
-              ignore (Db.insert_before db id (Insn.Call 0));
-              Db.set_target db id (Some shadow_check)
-          | _ -> ()))
-    snapshot_rows
+    (fun (f : Frame.func) ->
+      ignore (Db.insert_before db f.Frame.func.Db.entry (Insn.Call 0));
+      Db.set_target db f.Frame.func.Db.entry (Some shadow_push))
+    protected;
+  (* Then every return, in ascending id order.  An entry that is itself
+     a ret (a single-instruction function) now holds the push call. *)
+  List.concat_map
+    (fun (f : Frame.func) -> List.filter (fun id -> id <> f.Frame.func.Db.entry) f.Frame.rets)
+    protected
+  |> List.sort Int.compare
+  |> List.iter (fun id ->
+         ignore (Db.insert_before db id (Insn.Call 0));
+         Db.set_target db id (Some shadow_check))
 
 let make ?(region_bytes = 16384) () =
   Zipr.Transform.make ~name:"shadow-stack"

@@ -15,10 +15,9 @@
     a bss shadow region (default 16 KiB ≈ 4096 live frames; deeper
     recursion faults safely on the region's unmapped guard).
 
-    Functions are protected under the same eligibility rules as
-    {!Canary}: entries that are loop heads or fallthrough targets, and
-    functions whose control flow escapes to other functions, are left
-    alone. *)
+    Functions are protected under {!Frame.eligible}, like {!Canary}:
+    entries that are loop heads or fallthrough targets, and functions
+    whose control flow escapes to other functions, are left alone. *)
 
 val violation_status : int
 (** 142. *)

@@ -2,80 +2,20 @@ module Db = Irdb.Db
 module Rng = Zipr_util.Rng
 open Zvm
 
-(* The entry adjustment must execute exactly once per activation: reject
-   functions whose entry row is targeted from within the function. *)
-let entry_is_loop_head db (f : Db.func) =
-  let member = Db.func_insns db f.Db.fid in
-  List.exists
-    (fun id ->
-      match Db.row db id with
-      | exception Not_found -> false
-      | r -> r.Db.target = Some f.Db.entry)
-    member
-
-(* Reject functions another function falls through into (overlapping
-   entries, e.g. a nop stub running into the next routine): padding both
-   would adjust the stack twice on the fallthrough path. *)
-let entry_is_fallthrough_target db (f : Db.func) =
-  let found = ref false in
-  Db.iter db (fun r -> if r.Db.fallthrough = Some f.Db.entry then found := true);
-  !found
-
-
-(* Padding is only sound when control cannot leave the function except by
-   its own returns (or by terminating): an intraprocedural edge into
-   another function would run that function's returns against our
-   adjusted frame. *)
-let escapes_function db fid =
-  let leaves link =
-    match link with
-    | None -> false
-    | Some t -> (
-        match Db.row db t with
-        | exception Not_found -> true
-        | tr -> tr.Db.func <> Some fid)
-  in
-  List.exists
-    (fun id ->
-      match Db.row db id with
-      | exception Not_found -> false
-      | r -> (
-          match r.Db.insn with
-          | Insn.Call _ | Insn.Callr _ -> leaves r.Db.fallthrough
-          | _ -> leaves r.Db.fallthrough || leaves r.Db.target))
-    (Db.func_insns db fid)
-
-let returns_of db fid =
-  List.filter
-    (fun id ->
-      match Db.row db id with
-      | exception Not_found -> false
-      | r -> (not r.Db.fixed) && r.Db.insn = Insn.Ret)
-    (Db.func_insns db fid)
-
+(* Pads every function {!Frame.eligible} admits: the entry adjustment
+   then runs once per activation and every exit path is matched. *)
 let apply ~min_pad ~max_pad ~seed db =
   let rng = Rng.create seed in
   List.iter
-    (fun (f : Db.func) ->
-      match Db.row db f.Db.entry with
-      | exception Not_found -> ()
-      | entry_row ->
-          let rets = returns_of db f.Db.fid in
-          if
-            (not entry_row.Db.fixed)
-            && (not (entry_is_loop_head db f))
-            && (not (entry_is_fallthrough_target db f))
-            && (not (escapes_function db f.Db.fid))
-            && rets <> []
-          then begin
-            let pad = Rng.int_in rng (min_pad / 4) (max_pad / 4) * 4 in
-            ignore (Db.insert_before db f.Db.entry (Insn.Alui (Insn.Subi, Reg.SP, pad)));
-            List.iter
-              (fun ret ->
-                ignore (Db.insert_before db ret (Insn.Alui (Insn.Addi, Reg.SP, pad))))
-              rets
-          end)
-    (Db.funcs db)
+    (fun (f : Frame.func) ->
+      if Frame.eligible f then begin
+        let pad = Rng.int_in rng (min_pad / 4) (max_pad / 4) * 4 in
+        ignore (Db.insert_before db f.Frame.func.Db.entry (Insn.Alui (Insn.Subi, Reg.SP, pad)));
+        List.iter
+          (fun ret -> ignore (Db.insert_before db ret (Insn.Alui (Insn.Addi, Reg.SP, pad))))
+          f.Frame.rets
+      end)
+    (Frame.analyse db)
 
 let make ?(min_pad = 16) ?(max_pad = 64) ~seed () =
   Zipr.Transform.make ~name:"stack-pad"

@@ -7,9 +7,9 @@
     [addi sp, pad] in front of every return.  Overflows aimed at the
     return address must now traverse an unpredictable gap.
 
-    Functions whose entry row has intra-procedural incoming edges (the
-    entry is a loop head) are skipped: the entry adjustment would
-    re-execute and unbalance the stack. *)
+    Only the functions {!Frame.eligible} admits are padded: where the
+    entry is a loop head, for one, the entry adjustment would re-execute
+    and unbalance the stack. *)
 
 val make : ?min_pad:int -> ?max_pad:int -> seed:int -> unit -> Zipr.Transform.t
 (** Pads are uniform multiples of 4 in [\[min_pad, max_pad\]] (defaults 16

@@ -112,7 +112,7 @@ let test_funcs () =
   let fid = Db.add_func db ~fname:"f" ~entry:e in
   Db.set_func db e fid;
   Alcotest.(check int) "one function" 1 (List.length (Db.funcs db));
-  Alcotest.(check (list int)) "membership" [ e ] (Db.func_insns db fid)
+  Alcotest.(check (option int)) "membership" (Some fid) (Db.row db e).Db.func
 
 let test_added_sections_and_vaddr () =
   let db = fresh () in

@@ -147,6 +147,65 @@ let test_stack_pad_then_cfi_compose () =
   let result = run ~input:(Testprogs.vuln_exploit ()) rw in
   Alcotest.(check bool) "composed blocks exploit" true (result.Vm.stop <> Vm.Exited 42)
 
+(* -- Frame analysis -- *)
+
+(* Five hand-built functions, one per fact: [plain] is eligible, [loop]
+   branches back to its entry, [escape] jumps into [plain], [pinned] has
+   a pinned non-entry member, and [entered] is fallen into from a row
+   of no function. *)
+let test_frame_facts () =
+  let module Db = Irdb.Db in
+  let db =
+    Db.create
+      ~orig:
+        (Zelf.Binary.create ~entry:0x1000
+           [ Zelf.Section.make ~name:".text" ~kind:Zelf.Section.Text ~vaddr:0x1000 (Bytes.make 64 '\x90') ])
+      ()
+  in
+  let func name insns =
+    let ids = List.map (Db.add_insn db) insns in
+    let rec link = function
+      | a :: (b :: _ as rest) ->
+          if Insn.has_fallthrough (Db.row db a).Db.insn then Db.set_fallthrough db a (Some b);
+          link rest
+      | _ -> ()
+    in
+    link ids;
+    let fid = Db.add_func db ~fname:name ~entry:(List.hd ids) in
+    List.iter (fun id -> Db.set_func db id fid) ids;
+    ids
+  in
+  let plain = func "plain" [ Insn.Nop; Insn.Ret ] in
+  let loop = func "loop" [ Insn.Nop; Insn.Jcc (Zvm.Cond.Ne, Insn.Near, 0); Insn.Ret ] in
+  Db.set_target db (List.nth loop 1) (Some (List.hd loop));
+  let escape = func "escape" [ Insn.Jmp (Insn.Near, 0) ] in
+  Db.set_target db (List.hd escape) (Some (List.nth plain 1));
+  let pinned = func "pinned" [ Insn.Nop; Insn.Ret ] in
+  Db.pin db (List.nth pinned 1) 0x1010;
+  let entered = func "entered" [ Insn.Nop; Insn.Ret ] in
+  let stub = Db.add_insn db Insn.Nop in
+  Db.set_fallthrough db stub (Some (List.hd entered));
+  let frames = Transforms.Frame.analyse db in
+  let facts (f : Transforms.Frame.func) =
+    Printf.sprintf "%s members=%d rets=%d loop=%b ft=%b escapes=%b secondary=%b eligible=%b"
+      f.Transforms.Frame.func.Db.fname (List.length f.Transforms.Frame.members)
+      (List.length f.Transforms.Frame.rets) f.Transforms.Frame.loop_head
+      f.Transforms.Frame.fallthrough_target f.Transforms.Frame.escapes
+      f.Transforms.Frame.secondary_entry (Transforms.Frame.eligible f)
+  in
+  Alcotest.(check (list string)) "facts"
+    [
+      "plain members=2 rets=1 loop=false ft=false escapes=false secondary=false eligible=true";
+      "loop members=3 rets=1 loop=true ft=false escapes=false secondary=false eligible=false";
+      "escape members=1 rets=0 loop=false ft=false escapes=true secondary=false eligible=false";
+      "pinned members=2 rets=1 loop=false ft=false escapes=false secondary=true eligible=true";
+      "entered members=2 rets=1 loop=false ft=true escapes=false secondary=false eligible=false";
+    ]
+    (List.map facts frames);
+  let first = List.hd frames in
+  Alcotest.(check (list int)) "membership" plain first.Transforms.Frame.members;
+  Alcotest.(check (list int)) "rets" [ List.nth plain 1 ] first.Transforms.Frame.rets
+
 let test_transform_registry () =
   (* Registration is first-come; the shipped transforms self-describe. *)
   Alcotest.(check bool) "null named" true (Transforms.Null.transform.Zipr.Transform.name = "null");
@@ -167,6 +226,7 @@ let suite =
     Alcotest.test_case "stirring fragments" `Quick test_stirring_fragments_dollops;
     Alcotest.test_case "profile count" `Quick test_profile_count_counts;
     Alcotest.test_case "pad+cfi compose" `Quick test_stack_pad_then_cfi_compose;
+    Alcotest.test_case "frame facts" `Quick test_frame_facts;
     Alcotest.test_case "registry" `Quick test_transform_registry;
   ]
 
