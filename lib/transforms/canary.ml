@@ -20,11 +20,11 @@ let apply ~seed db =
            identity, and instrumenting the entry first would land the
            check sequence in front of the cookie push. *)
         List.iter
-          (fun ret ->
+          (fun (s : Frame.site) ->
             (* push r0; load r0,[sp+4]; cmpi; jne violation; pop r0;
-               addi sp,4 (drop canary); ret *)
-            ignore (Db.insert_before db ret (Insn.Push Reg.R0));
-            let cur = ref ret in
+               addi sp,4 (drop canary); <return site> *)
+            ignore (Db.insert_before db s.Frame.head (Insn.Push Reg.R0));
+            let cur = ref s.Frame.head in
             let add insn = cur := Db.insert_after db !cur insn in
             add (Insn.Load { dst = Reg.R0; base = Reg.SP; disp = 4 });
             add (Insn.Cmpi (Reg.R0, cookie));
@@ -32,7 +32,7 @@ let apply ~seed db =
             Db.set_target db !cur (Some violation);
             add (Insn.Pop Reg.R0);
             add (Insn.Alui (Insn.Addi, Reg.SP, 4)))
-          f.Frame.rets;
+          f.Frame.sites;
         ignore (Db.insert_before db f.Frame.func.Db.entry (Insn.Pushi cookie))
       end)
     (Frame.analyse db)

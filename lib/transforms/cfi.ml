@@ -67,6 +67,30 @@ let build_check_routine db ~violation ~valid_bytes ~fixed_ranges =
     @ marker_tests
     @ [ jmp_row violation; label "ok"; insn (Insn.Pop Reg.R0); insn Insn.Ret ])
 
+(* Whether [r] is the guard [apply] puts in front of a [ret]: a call
+   whose callee, past the range tests and the [load8], tests the
+   [retland] marker alone before jumping to the violation handler. *)
+let is_ret_guard db (r : Db.row) =
+  let rec walk ~loaded = function
+    | None -> false
+    | Some id -> (
+        match Db.row db id with
+        | { Db.insn = Insn.Load8 _; fallthrough; _ } when not loaded -> walk ~loaded:true fallthrough
+        | { Db.insn = Insn.Cmpi (Reg.R0, b); fallthrough = Some j; _ } when loaded -> (
+            b = retland_byte
+            &&
+            match Db.row db j with
+            | { Db.insn = Insn.Jcc (Cond.Eq, _, _); fallthrough = Some k; _ } -> (
+                match (Db.row db k).Db.insn with Insn.Jmp _ -> true | _ -> false)
+            | _ -> false)
+        | { Db.insn = Insn.Push _ | Insn.Load _ | Insn.Cmpi _ | Insn.Jcc _; fallthrough; _ }
+          when not loaded ->
+            walk ~loaded fallthrough
+        | _ -> false
+        | exception Not_found -> false)
+  in
+  match r.Db.insn with Insn.Call _ -> walk ~loaded:false r.Db.target | _ -> false
+
 let apply db =
   (* Snapshot the program's rows first: the handler and check routines
      built next must not themselves be instrumented (the ret-check ends in

@@ -27,4 +27,9 @@
 val violation_status : int
 (** 139, mimicking a SIGSEGV death. *)
 
+val is_ret_guard : Irdb.Db.t -> Irdb.Db.row -> bool
+(** Whether the row is the [call] to the return check that this
+    transform puts directly in front of a [ret].  {!Frame} keys return
+    sites on it. *)
+
 val transform : Zipr.Transform.t

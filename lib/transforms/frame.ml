@@ -1,10 +1,12 @@
 module Db = Irdb.Db
 open Zvm
 
+type site = { head : Db.insn_id; ret : Db.insn_id }
+
 type func = {
   func : Db.func;
   members : Db.insn_id list;
-  rets : Db.insn_id list;
+  sites : site list;
   entry_fixed : bool;
   loop_head : bool;
   fallthrough_target : bool;
@@ -35,13 +37,19 @@ let analyse db =
   let secondary = Array.make n false in
   let fallthrough_targets = Hashtbl.create (2 * n) in
   let call_returns = Hashtbl.create 64 in
+  let guards = Hashtbl.create 64 in
   let pinned = ref [] in
   Db.iter db (fun r ->
       let is_call = match r.Db.insn with Insn.Call _ | Insn.Callr _ -> true | _ -> false in
       (match r.Db.fallthrough with
       | Some t ->
           if Hashtbl.mem entries t then Hashtbl.replace fallthrough_targets t ();
-          if is_call then Hashtbl.replace call_returns t ()
+          if is_call then begin
+            Hashtbl.replace call_returns t ();
+            match (Db.row db t).Db.insn with
+            | Insn.Ret when Cfi.is_ret_guard db r -> Hashtbl.replace guards t r.Db.id
+            | _ -> ()
+          end
       | None -> ());
       match r.Db.func with
       | Some fid when fid < n ->
@@ -68,7 +76,11 @@ let analyse db =
             {
               func = f;
               members = List.rev members.(fid);
-              rets = List.rev rets.(fid);
+              sites =
+                List.rev_map
+                  (fun ret ->
+                    { head = Option.value (Hashtbl.find_opt guards ret) ~default:ret; ret })
+                  rets.(fid);
               entry_fixed = e.Db.fixed;
               loop_head = loop_head.(fid);
               fallthrough_target = Hashtbl.mem fallthrough_targets f.Db.entry;
@@ -79,4 +91,4 @@ let analyse db =
 
 let eligible f =
   (not f.entry_fixed) && (not f.loop_head) && (not f.fallthrough_target) && (not f.escapes)
-  && f.rets <> []
+  && f.sites <> []

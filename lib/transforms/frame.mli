@@ -17,10 +17,21 @@
     relies on every function's entry row being one of its own members,
     which {!Analysis.Funcid} establishes and no transform undoes. *)
 
+type site = { head : Irdb.Db.insn_id; ret : Irdb.Db.insn_id }
+(** A return site: a non-fixed [ret] row together with {!Cfi}'s
+    [call ret_check] directly in front of it, when there is one.  [head]
+    is the site's first row: the guard, or else the [ret] itself.  A
+    transform that moves the stack pointer before returning (stack-pad's
+    [addi], canary's cookie drop) inserts in front of [head], so the
+    guard still finds the return address on top of the stack.  Only
+    CFI's own guard joins a site: shadow-stack's [call shadow_check]
+    leaves the stack as it found it and stays directly before the
+    [ret]. *)
+
 type func = {
   func : Irdb.Db.func;
   members : Irdb.Db.insn_id list;  (** rows whose [func] is this function, ascending *)
-  rets : Irdb.Db.insn_id list;  (** its non-fixed [ret] rows, ascending *)
+  sites : site list;  (** one per non-fixed [ret] member, ascending by [ret] *)
   entry_fixed : bool;
   loop_head : bool;  (** a member branches to the entry *)
   fallthrough_target : bool;  (** some row, in any function, falls through into the entry *)

@@ -66,7 +66,10 @@ let apply ~region_bytes db =
   (* Then every return, in ascending id order.  An entry that is itself
      a ret (a single-instruction function) now holds the push call. *)
   List.concat_map
-    (fun (f : Frame.func) -> List.filter (fun id -> id <> f.Frame.func.Db.entry) f.Frame.rets)
+    (fun (f : Frame.func) ->
+      List.filter_map
+        (fun (s : Frame.site) -> if s.Frame.ret <> f.Frame.func.Db.entry then Some s.Frame.ret else None)
+        f.Frame.sites)
     protected
   |> List.sort Int.compare
   |> List.iter (fun id ->

@@ -12,8 +12,9 @@ let apply ~min_pad ~max_pad ~seed db =
         let pad = Rng.int_in rng (min_pad / 4) (max_pad / 4) * 4 in
         ignore (Db.insert_before db f.Frame.func.Db.entry (Insn.Alui (Insn.Subi, Reg.SP, pad)));
         List.iter
-          (fun ret -> ignore (Db.insert_before db ret (Insn.Alui (Insn.Addi, Reg.SP, pad))))
-          f.Frame.rets
+          (fun (s : Frame.site) ->
+            ignore (Db.insert_before db s.Frame.head (Insn.Alui (Insn.Addi, Reg.SP, pad))))
+          f.Frame.sites
       end)
     (Frame.analyse db)
 

@@ -189,7 +189,7 @@ let test_frame_facts () =
   let facts (f : Transforms.Frame.func) =
     Printf.sprintf "%s members=%d rets=%d loop=%b ft=%b escapes=%b secondary=%b eligible=%b"
       f.Transforms.Frame.func.Db.fname (List.length f.Transforms.Frame.members)
-      (List.length f.Transforms.Frame.rets) f.Transforms.Frame.loop_head
+      (List.length f.Transforms.Frame.sites) f.Transforms.Frame.loop_head
       f.Transforms.Frame.fallthrough_target f.Transforms.Frame.escapes
       f.Transforms.Frame.secondary_entry (Transforms.Frame.eligible f)
   in
@@ -204,7 +204,23 @@ let test_frame_facts () =
     (List.map facts frames);
   let first = List.hd frames in
   Alcotest.(check (list int)) "membership" plain first.Transforms.Frame.members;
-  Alcotest.(check (list int)) "rets" [ List.nth plain 1 ] first.Transforms.Frame.rets
+  Alcotest.(check (list int)) "rets" [ List.nth plain 1 ]
+    (List.map (fun (s : Transforms.Frame.site) -> s.Transforms.Frame.ret) first.Transforms.Frame.sites)
+
+(* CFI's [call ret_check] sits directly in front of each [ret]; a later
+   frame transform must put its epilogue in front of that guard, or the
+   guard reads the pad slot or the cookie as the return address. *)
+let test_cfi_then_frame_compose ~name frame_transform () =
+  let binary, _ = Testprogs.assemble (Testprogs.vuln_program ()) in
+  let rw = rewrite_with [ Transforms.Cfi.transform; frame_transform ] binary in
+  check_same ~name:("cfi then " ^ name ^ " benign") ~inputs:[ "\x05hello"; "\x08payload!" ] binary rw;
+  let result = run ~input:(Testprogs.vuln_exploit ()) rw in
+  Alcotest.(check bool) ("cfi then " ^ name ^ " blocks exploit") true
+    (result.Vm.stop <> Vm.Exited 42
+    &&
+    let s = result.Vm.output in
+    let rec scan i = i + 4 <= String.length s && (String.sub s i 4 = "PWN!" || scan (i + 1)) in
+    not (scan 0))
 
 let test_transform_registry () =
   (* Registration is first-come; the shipped transforms self-describe. *)
@@ -226,6 +242,10 @@ let suite =
     Alcotest.test_case "stirring fragments" `Quick test_stirring_fragments_dollops;
     Alcotest.test_case "profile count" `Quick test_profile_count_counts;
     Alcotest.test_case "pad+cfi compose" `Quick test_stack_pad_then_cfi_compose;
+    Alcotest.test_case "cfi+pad compose" `Quick
+      (test_cfi_then_frame_compose ~name:"stack pad" Transforms.Stack_pad.transform);
+    Alcotest.test_case "cfi+canary compose" `Quick
+      (test_cfi_then_frame_compose ~name:"canary" Transforms.Canary.transform);
     Alcotest.test_case "frame facts" `Quick test_frame_facts;
     Alcotest.test_case "registry" `Quick test_transform_registry;
   ]
