@@ -89,7 +89,7 @@ let cfg_to_string c =
 let random_cfg rng =
   let s () = Rng.int_in rng 1 1_000_000 in
   let stack =
-    match Rng.int rng 9 with
+    match Rng.int rng 13 with
     | 0 -> [ Null ]
     | 1 -> [ Cfi ]
     | 2 -> [ Shadow_stack ]
@@ -98,7 +98,13 @@ let random_cfg rng =
     | 5 -> [ Canary (s ()) ]
     | 6 -> [ Stirring (s ()) ]
     | 7 -> [ Nop_pad (s ()) ]
-    | _ -> [ Stirring (s ()); Nop_pad (s ()) ]
+    | 8 -> [ Stirring (s ()); Nop_pad (s ()) ]
+    (* Frame transforms in both orders around CFI, whose ret guard they
+       must not split from its ret. *)
+    | 9 -> [ Cfi; Stack_pad (s ()) ]
+    | 10 -> [ Cfi; Canary (s ()) ]
+    | 11 -> [ Stack_pad (s ()); Cfi ]
+    | _ -> [ Canary (s ()); Cfi ]
   in
   {
     transforms = stack;
