@@ -27,29 +27,6 @@ type t = {
   mutable disk_evicted : int;
 }
 
-let create ?(capacity = 64) ?max_bytes ?dir ?max_disk_entries ?max_disk_bytes () =
-  let bounded = Option.map (max 1) in
-  let disk =
-    Option.map
-      (fun dir ->
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        { dir; max_entries = bounded max_disk_entries; max_bytes = bounded max_disk_bytes })
-      dir
-  in
-  let rec lru = { key = ""; value = None; bytes = 0; older = lru; newer = lru } in
-  {
-    capacity = max 1 capacity;
-    max_bytes = bounded max_bytes;
-    disk;
-    lock = Mutex.create ();
-    entries = Hashtbl.create 256;
-    lru;
-    resident = 0;
-    evicted = 0;
-    oversize = 0;
-    disk_evicted = 0;
-  }
-
 (* Length-prefix every part so ["ab"; "c"] and ["a"; "bc"] hash apart. *)
 let key parts =
   let buf = Buffer.create 256 in
@@ -194,6 +171,36 @@ let prune t =
             end)
           files
       with Sys_error _ -> ())
+
+let create ?(capacity = 64) ?max_bytes ?dir ?max_disk_entries ?max_disk_bytes () =
+  let bounded = Option.map (max 1) in
+  let disk =
+    Option.map
+      (fun dir ->
+        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        { dir; max_entries = bounded max_disk_entries; max_bytes = bounded max_disk_bytes })
+      dir
+  in
+  let rec lru = { key = ""; value = None; bytes = 0; older = lru; newer = lru } in
+  let t =
+    {
+      capacity = max 1 capacity;
+      max_bytes = bounded max_bytes;
+      disk;
+      lock = Mutex.create ();
+      entries = Hashtbl.create 256;
+      lru;
+      resident = 0;
+      evicted = 0;
+      oversize = 0;
+      disk_evicted = 0;
+    }
+  in
+  (* The directory may already be over the bound (a run with a larger
+     one, files another release left): prune once here, so the bound
+     holds even for an instance that only ever hits. *)
+  prune t;
+  t
 
 (* -- lookup / store -- *)
 

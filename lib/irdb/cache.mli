@@ -33,10 +33,10 @@ val create :
     any resident count, and a memory hit updates recency without
     allocating.  No byte budget by default.
 
-    [dir] (created if missing) enables the disk layer.  After each
-    {!store} the directory is pruned, oldest mtime first, until all of
-    its [<key>.zir<letter>] files fit [max_disk_entries] and
-    [max_disk_bytes] — whichever instance or process wrote them,
+    [dir] (created if missing) enables the disk layer.  On [create] and
+    after each {!store} the directory is pruned, oldest mtime first,
+    until all of its [<key>.zir<letter>] files fit [max_disk_entries]
+    and [max_disk_bytes] — whichever instance or process wrote them,
     including the [.zirr] files older releases wrote there — and every
     other file is left alone.  Unbounded by default.
 

@@ -473,6 +473,24 @@ let test_disk_bound_shared () =
   Alcotest.(check bool) "other files untouched" true
     (Sys.file_exists (Filename.concat dir "notes.txt"))
 
+(* A directory already over its bound shrinks when a bounded instance
+   opens it, even if that instance only hits: the oldest files go, and
+   the newest still serve. *)
+let test_disk_bound_on_open () =
+  let dir = fresh_dir () in
+  let seeded = Cache.create ~dir () in
+  let key i = Cache.key [ "open"; string_of_int i ] in
+  for i = 0 to 9 do
+    Cache.store seeded ~key:(key i) (pay 10);
+    Unix.utimes (Filename.concat dir (key i ^ ".zirc")) (float (1000 + i)) (float (1000 + i))
+  done;
+  let c = Cache.create ~dir ~max_disk_entries:4 () in
+  for i = 6 to 9 do
+    Alcotest.(check bool) (Printf.sprintf "entry %d hits" i) true (Cache.find c (key i) <> None)
+  done;
+  Alcotest.(check int) "at most the bound remains" 4 (List.length (zirc_files dir));
+  Alcotest.(check int) "the open pruned the six oldest" 6 (Cache.disk_evictions c)
+
 (* The store's LRU against a list model: random store/find sequences on
    a small instance, under the entry bound, the byte bound or both.
    Every find must hit or miss as the model does, with the same payload,
@@ -598,6 +616,8 @@ let suite =
     Alcotest.test_case "disk layer: entry-count bound prunes oldest" `Quick
       test_disk_entry_bound;
     Alcotest.test_case "disk layer: byte bound prunes oldest" `Quick test_disk_byte_bound;
+    Alcotest.test_case "disk layer: opening a directory over its bound prunes it" `Quick
+      test_disk_bound_on_open;
     Alcotest.test_case "disk layer: one bound covers a shared directory" `Quick
       test_disk_bound_shared;
     Alcotest.test_case "obs counters keep the irdb.cache names" `Quick
