@@ -46,9 +46,10 @@ let analyse db =
           if Hashtbl.mem entries t then Hashtbl.replace fallthrough_targets t ();
           if is_call then begin
             Hashtbl.replace call_returns t ();
-            match (Db.row db t).Db.insn with
-            | Insn.Ret when Cfi.is_ret_guard db r -> Hashtbl.replace guards t r.Db.id
-            | _ -> ()
+            match Db.row db t with
+            | { Db.insn = Insn.Ret; _ } when Cfi.is_ret_guard db r ->
+                Hashtbl.replace guards t r.Db.id
+            | _ | (exception Not_found) -> ()
           end
       | None -> ());
       match r.Db.func with

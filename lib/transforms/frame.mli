@@ -47,6 +47,11 @@ val analyse : Irdb.Db.t -> func list
 (** Every function whose entry row is live, in {!Irdb.Db.funcs} order. *)
 
 val eligible : func -> bool
-(** The rule all three transforms apply: the entry is not fixed, not a
-    loop head and not a fallthrough target, control leaves the function
-    only through its own returns, and it has at least one. *)
+(** The rule all three transforms apply, so that the entry code runs once
+    per activation and every exit undoes it.  The entry is not fixed (its
+    bytes cannot change).  It is not a loop head (the entry code would
+    run again on every iteration).  It is not a fallthrough target (a
+    routine that runs into it, such as a nop stub, would run the entry
+    code of both).  Control leaves the function only through its own
+    returns (an edge into another function would run that function's
+    returns against this frame).  And it has at least one return. *)
