@@ -13,12 +13,12 @@
      pinning     pinned-address policy: conservative vs relaxed (§II-A2)
      jtrw        jump-table rewriting: statically modelled IBTs (§II-A2)
      defenses    every shipped defense compared on overhead + PoVs blocked
-     micro       Bechamel micro-benchmarks, one per table/figure
 
    Run with no arguments to execute everything; or pass a subset of the
    experiment names. *)
 
 module Histogram = Zipr_util.Histogram
+module Json = Zipr_util.Json
 module Stats = Zipr_util.Stats
 
 let say fmt = Format.printf (fmt ^^ "@.")
@@ -31,8 +31,6 @@ type cb_result = {
   name : string;
   null_eval : Cgc.Score.eval;
   cfi_eval : Cgc.Score.eval;
-  null_stats : Zipr.Reassemble.stats;
-  cfi_stats : Zipr.Reassemble.stats;
 }
 
 let corpus_results : cb_result list Lazy.t =
@@ -53,13 +51,7 @@ let corpus_results : cb_result list Lazy.t =
              ~rewritten:rc.Zipr.Pipeline.rewritten ~meta:e.Cgc.Corpus.meta
              ~pollers:e.Cgc.Corpus.pollers
          in
-         {
-           name = e.Cgc.Corpus.name;
-           null_eval;
-           cfi_eval;
-           null_stats = rn.Zipr.Pipeline.stats;
-           cfi_stats = rc.Zipr.Pipeline.stats;
-         })
+         { name = e.Cgc.Corpus.name; null_eval; cfi_eval })
        entries)
 
 let overhead_figure ~title ~metric () =
@@ -186,187 +178,24 @@ let e1 () =
 (* Throughput (§IV-A timings)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [--json] makes throughput also write BENCH_throughput.json (per-workload
-   timings, dollop counts and allocator traffic) for CI trend tracking;
-   [--small] drops the 5x jvm-like workload so the smoke run stays cheap;
-   [--jobs N] sets the worker-domain count for the corpus section (0 =
-   auto-detect the core count);
-   [--trace] installs an obs sink for the whole run — the aggregated
-   per-phase table prints at the end, and with [--json] the report embeds
-   into BENCH_throughput.json under the "obs" key. *)
-let json_mode = ref false
+(* [--small] drops the 5x jvm-like workload and shrinks the delta,
+   placement and infer corpora so a smoke run stays cheap; [--jobs N]
+   sets the worker-domain count of the placement bench (0 = auto-detect
+   the core count). *)
 let small_mode = ref false
 let jobs = ref 1
-let clients = ref 4
-let trace_mode = ref false
 
 (* Host facts embedded in every BENCH_*.json: timing figures are only
    comparable between runs on a known substrate, so each report records
    the core count, compiler and corpus size it was measured with. *)
-let host_json ~corpus_size =
-  Printf.sprintf
-    "\"host\": { \"cores\": %d, \"ocaml_version\": \"%s\", \"corpus_size\": %d }"
-    (Domain.recommended_domain_count ())
-    (Obs.Tracer.json_escape Sys.ocaml_version)
-    corpus_size
+let host ~corpus_size =
+  ( "host",
+    Json.Obj
+      [ ("cores", Int (Domain.recommended_domain_count ()));
+        ("ocaml_version", String Sys.ocaml_version); ("corpus_size", Int corpus_size) ] )
 
-(* Distribution summary (nearest-rank percentiles) — the migrated
-   benches report p50/p90/max rather than bare means. *)
-let dist_json xs =
-  Printf.sprintf "{ \"p50\": %.4f, \"p90\": %.4f, \"max\": %.4f }"
-    (Stats.percentile xs 50.0) (Stats.percentile xs 90.0) (Stats.percentile xs 100.0)
-
-(* The corpus section of the throughput experiment: the scale-out corpus
-   (the same deterministic class mix the placement bench draws from, at
-   least 120 members) rewritten through [Parallel.Corpus].
-
-   A serial admission pass runs first: the few corpus members the
-   pipeline itself cannot rewrite (a pin slot colliding with a fixed
-   data island — a strategy- and config-independent verdict, see the
-   placement bench) are excluded from every measured pass and accounted
-   for in the JSON; more than 2% failing means the generator regressed,
-   so the run aborts.
-
-   [speedup_vs_serial] is the {e schedule} speedup: the serial run's
-   wall-clock divided by the parallel schedule's critical path, where the
-   critical path charges each shard the serially-measured durations of
-   the binaries it processed.  On a machine with at least [jobs] cores
-   this equals the wall-clock speedup (minus queue overhead); on fewer
-   cores — CI runners are often single-core — the domains time-share and
-   raw wall-clock measures the scheduler, not the rewriter, so we report
-   both and label them. *)
-let corpus_section () =
-  let count = if !small_mode then 120 else 360 in
-  let corpus = Workloads.Scale.corpus ~seed:9 ~count () in
-  let all_items =
-    List.map
-      (fun (it : Workloads.Scale.item) ->
-        {
-          Parallel.Corpus.name = it.Workloads.Scale.name;
-          data = Zelf.Binary.serialize it.Workloads.Scale.binary;
-        })
-      corpus
-  in
-  let corpus_seed = 7 in
-  let transforms = [ Transforms.Null.transform ] in
-  let config = Zipr.Pipeline.default_config in
-  let jobs_resolved = Zipr.Pipeline.resolve_jobs !jobs in
-  let probe = Parallel.Corpus.rewrite_all ~jobs:1 ~config ~transforms ~corpus_seed all_items in
-  let excluded =
-    List.filter_map
-      (fun (e : Parallel.Corpus.entry) ->
-        match e.Parallel.Corpus.result with
-        | Error m -> Some (e.Parallel.Corpus.name, m)
-        | Ok _ -> None)
-      probe.Parallel.Corpus.entries
-  in
-  List.iter (fun (n, m) -> say "excluded (unsupported) %s: %s" n m) excluded;
-  if 100 * List.length excluded > 2 * count then
-    failwith
-      (Printf.sprintf "throughput: %d/%d unsupported corpus members exceeds the 2%% tolerance"
-         (List.length excluded) count);
-  let items =
-    List.filter
-      (fun (it : Parallel.Corpus.item) ->
-        not (List.mem_assoc it.Parallel.Corpus.name excluded))
-      all_items
-  in
-  let serial = Parallel.Corpus.rewrite_all ~jobs:1 ~config ~transforms ~corpus_seed items in
-  let par =
-    if jobs_resolved <= 1 then serial
-    else Parallel.Corpus.rewrite_all ~jobs:jobs_resolved ~config ~transforms ~corpus_seed items
-  in
-  (* Critical path of the parallel schedule, charged at serial prices. *)
-  let serial_elapsed =
-    let a = Array.make (List.length items) 0.0 in
-    List.iter (fun (e : Parallel.Corpus.entry) -> a.(e.index) <- e.elapsed_s) serial.entries;
-    a
-  in
-  let per_shard = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Parallel.Corpus.entry) ->
-      let cur = try Hashtbl.find per_shard e.worker with Not_found -> 0.0 in
-      Hashtbl.replace per_shard e.worker (cur +. serial_elapsed.(e.index)))
-    par.entries;
-  let critical_path_s = Hashtbl.fold (fun _ s acc -> max s acc) per_shard 0.0 in
-  let speedup =
-    if jobs_resolved <= 1 || critical_path_s <= 0.0 then 1.0
-    else serial.wall_clock_s /. critical_path_s
-  in
-  let identical =
-    List.for_all2
-      (fun (a : Parallel.Corpus.entry) (b : Parallel.Corpus.entry) ->
-        match (a.result, b.result) with
-        | Ok x, Ok y -> Bytes.equal x.rewritten y.rewritten
-        | Error x, Error y -> x = y
-        | _ -> false)
-      serial.entries par.entries
-  in
-  say "-- corpus: %d binaries (%d generated, %d unsupported), %d worker domain(s) --"
-    (List.length items) count (List.length excluded) jobs_resolved;
-  Format.printf "%a@." Parallel.Corpus.pp_report par;
-  let elapsed_ms =
-    List.map (fun (e : Parallel.Corpus.entry) -> e.Parallel.Corpus.elapsed_s *. 1e3)
-      serial.Parallel.Corpus.entries
-  in
-  let queue_wait_ms =
-    List.map (fun (e : Parallel.Corpus.entry) -> e.Parallel.Corpus.queue_wait_s *. 1e3)
-      par.Parallel.Corpus.entries
-  in
-  say "per-item elapsed      p50 %.3f ms  p90 %.3f ms  max %.3f ms"
-    (Stats.percentile elapsed_ms 50.0) (Stats.percentile elapsed_ms 90.0)
-    (Stats.percentile elapsed_ms 100.0);
-  say "queue wait            p50 %.3f ms  p90 %.3f ms  max %.3f ms"
-    (Stats.percentile queue_wait_ms 50.0) (Stats.percentile queue_wait_ms 90.0)
-    (Stats.percentile queue_wait_ms 100.0);
-  say "serial wall clock     %10.4f s" serial.wall_clock_s;
-  say "parallel wall clock   %10.4f s  (measured on this machine's cores)"
-    par.Parallel.Corpus.wall_clock_s;
-  say "critical path         %10.4f s  (parallel schedule at serial per-binary cost)"
-    critical_path_s;
-  say "speedup vs serial     %10.2fx  (schedule speedup = serial wall clock / critical path)"
-    speedup;
-  say "outputs vs serial     %s" (if identical then "byte-identical" else "DIVERGED");
-  if not identical then failwith "corpus outputs diverged between serial and parallel runs";
-  (* IR cache: a cold pass populates it (all misses), a warm pass at the
-     configured job count must then hit on every item and still produce
-     byte-identical outputs. *)
-  let ir_cache = Irdb.Cache.create ~capacity:(2 * List.length items) () in
-  let cold = Parallel.Corpus.rewrite_all ~jobs:1 ~config ~transforms ~ir_cache ~corpus_seed items in
-  let warm =
-    Parallel.Corpus.rewrite_all ~jobs:jobs_resolved ~config ~transforms ~ir_cache ~corpus_seed
-      items
-  in
-  let cache_identical =
-    List.for_all2
-      (fun (a : Parallel.Corpus.entry) (b : Parallel.Corpus.entry) ->
-        match (a.result, b.result) with
-        | Ok x, Ok y -> Bytes.equal x.rewritten y.rewritten
-        | Error x, Error y -> x = y
-        | _ -> false)
-      serial.entries warm.entries
-  in
-  say "ir cache cold         %10.4f s IR, %d misses" cold.merged_timing.ir_construction_s
-    cold.merged_cache.Zipr.Pipeline.ir_cache_misses;
-  say "ir cache warm         %10.4f s IR, %d hits (at --jobs %d)"
-    warm.merged_timing.ir_construction_s warm.merged_cache.Zipr.Pipeline.ir_cache_hits
-    jobs_resolved;
-  say "warm outputs          %s" (if cache_identical then "byte-identical" else "DIVERGED");
-  if warm.merged_cache.Zipr.Pipeline.ir_cache_hits <> List.length items then
-    failwith "warm cache run did not hit on every corpus item";
-  if not cache_identical then failwith "warm cache outputs diverged from uncached run";
-  ( serial,
-    par,
-    cold,
-    warm,
-    critical_path_s,
-    speedup,
-    List.length items,
-    count,
-    List.map fst excluded,
-    jobs_resolved,
-    elapsed_ms,
-    queue_wait_ms )
+let write_json file v =
+  Out_channel.with_open_text file (fun oc -> output_string oc (Json.to_string v))
 
 let throughput () =
   say "== Throughput: rewriter processing time vs binary size (§IV-A) ==";
@@ -376,225 +205,81 @@ let throughput () =
     if !small_mode then Workloads.Synthetic.[ libc_like (); apache_like () ]
     else Workloads.Synthetic.all ()
   in
-  let rows =
-    List.map
-      (fun (w : Workloads.Synthetic.spec) ->
-        let r =
-          Zipr.Pipeline.rewrite ~transforms:[ Transforms.Null.transform ]
-            w.Workloads.Synthetic.binary
-        in
-        let t = r.Zipr.Pipeline.timing in
-        let s = r.Zipr.Pipeline.stats in
-        let text_bytes = (Zelf.Binary.text w.Workloads.Synthetic.binary).Zelf.Section.size in
-        say "%-18s %10d %14.4f %14.4f %14.4f %8d %8d" w.Workloads.Synthetic.name text_bytes
-          t.Zipr.Pipeline.ir_construction_s t.Zipr.Pipeline.transformation_s
-          t.Zipr.Pipeline.reassembly_s s.Zipr.Reassemble.dollops_placed
-          s.Zipr.Reassemble.alloc_queries;
-        (w.Workloads.Synthetic.name, text_bytes, t, s))
-      specs
-  in
-  let ( serial,
-        par,
-        cold,
-        warm,
-        critical_path_s,
-        speedup,
-        n_items,
-        n_generated,
-        excluded_names,
-        jobs_resolved,
-        elapsed_ms,
-        queue_wait_ms ) =
-    corpus_section ()
-  in
-  if !json_mode then begin
-    let oc = open_out "BENCH_throughput.json" in
-    let field fmt = Printf.fprintf oc fmt in
-    field "{\n  \"experiment\": \"throughput\",\n  \"workloads\": [";
-    List.iteri
-      (fun i (name, text_bytes, (t : Zipr.Pipeline.timing), (s : Zipr.Reassemble.stats)) ->
-        field "%s\n    { \"name\": \"%s\", \"text_bytes\": %d,\n"
-          (if i = 0 then "" else ",")
-          (Obs.Tracer.json_escape name) text_bytes;
-        field "      \"ir_construction_s\": %.6f, \"transformation_s\": %.6f, \"reassembly_s\": %.6f,\n"
-          t.Zipr.Pipeline.ir_construction_s t.Zipr.Pipeline.transformation_s
-          t.Zipr.Pipeline.reassembly_s;
-        field "      \"dollops_placed\": %d, \"dollops_split\": %d,\n"
-          s.Zipr.Reassemble.dollops_placed s.Zipr.Reassemble.dollops_split;
-        field "      \"layouts_computed\": %d, \"layout_reuses\": %d,\n"
-          s.Zipr.Reassemble.layouts_computed s.Zipr.Reassemble.layout_reuses;
-        field "      \"alloc_queries\": %d, \"alloc_hits\": %d }" s.Zipr.Reassemble.alloc_queries
-          s.Zipr.Reassemble.alloc_hits)
-      rows;
-    field "\n  ],\n";
-    field "  \"jobs\": %d,\n  \"corpus_items\": %d,\n" jobs_resolved n_items;
-    field "  \"corpus_generated\": %d,\n  \"corpus_excluded\": [%s],\n" n_generated
-      (String.concat ", "
-         (List.map
-            (fun n -> Printf.sprintf "\"%s\"" (Obs.Tracer.json_escape n))
-            excluded_names));
-    field "  \"elapsed_ms\": %s,\n  \"queue_wait_ms\": %s,\n" (dist_json elapsed_ms)
-      (dist_json queue_wait_ms);
-    field "  %s,\n" (host_json ~corpus_size:n_generated);
-    field "  \"serial_wall_clock_s\": %.6f,\n  \"wall_clock_s\": %.6f,\n"
-      serial.Parallel.Corpus.wall_clock_s par.Parallel.Corpus.wall_clock_s;
-    field "  \"critical_path_s\": %.6f,\n  \"speedup_vs_serial\": %.3f,\n" critical_path_s
-      speedup;
-    field "  \"pool_spawn_s\": %.6f,\n" par.Parallel.Corpus.pool_spawn_s;
-    field "  \"ir_cache_hits\": %d,\n  \"ir_cache_misses\": %d,\n"
-      warm.Parallel.Corpus.merged_cache.Zipr.Pipeline.ir_cache_hits
-      (cold.Parallel.Corpus.merged_cache.Zipr.Pipeline.ir_cache_misses
-      + warm.Parallel.Corpus.merged_cache.Zipr.Pipeline.ir_cache_misses);
-    field "  \"ir_cold_s\": %.6f,\n  \"ir_warm_s\": %.6f,\n"
-      cold.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s
-      warm.Parallel.Corpus.merged_timing.Zipr.Pipeline.ir_construction_s;
-    let ms = par.Parallel.Corpus.merged_stats in
-    field "  \"corpus\": {\n    \"ok\": %d, \"failed\": %d,\n" par.Parallel.Corpus.ok
-      par.Parallel.Corpus.failed;
-    field "    \"queue_wait_total_s\": %.6f, \"queue_wait_max_s\": %.6f,\n"
-      par.Parallel.Corpus.queue_wait_total_s par.Parallel.Corpus.queue_wait_max_s;
-    field "    \"merged\": { \"dollops_placed\": %d, \"dollops_split\": %d, \"layouts_computed\": %d, \"layout_reuses\": %d, \"alloc_queries\": %d, \"alloc_hits\": %d },\n"
-      ms.Zipr.Reassemble.dollops_placed ms.Zipr.Reassemble.dollops_split
-      ms.Zipr.Reassemble.layouts_computed ms.Zipr.Reassemble.layout_reuses
-      ms.Zipr.Reassemble.alloc_queries ms.Zipr.Reassemble.alloc_hits;
-    field "    \"shards\": [";
-    List.iteri
-      (fun i (w : Parallel.Pool.worker_stat) ->
-        field "%s\n      { \"worker\": %d, \"tasks_run\": %d, \"busy_s\": %.6f }"
-          (if i = 0 then "" else ",")
-          w.Parallel.Pool.worker w.Parallel.Pool.tasks_run w.Parallel.Pool.busy_s)
-      par.Parallel.Corpus.shards;
-    field "\n    ]\n  }";
-    (match Obs.active () with
-    | Some sink ->
-        (* [report_json] is itself a JSON object; embed it verbatim. *)
-        field ",\n  \"obs\": %s" (String.trim (Obs.Tracer.report_json sink))
-    | None -> ());
-    field "\n}\n";
-    close_out oc;
-    say "wrote BENCH_throughput.json (%d workloads, corpus of %d at --jobs %d)"
-      (List.length rows) n_items jobs_resolved
-  end;
+  List.iter
+    (fun (w : Workloads.Synthetic.spec) ->
+      let r =
+        Zipr.Pipeline.rewrite ~transforms:[ Transforms.Null.transform ]
+          w.Workloads.Synthetic.binary
+      in
+      let t = r.Zipr.Pipeline.timing in
+      let s = r.Zipr.Pipeline.stats in
+      let text_bytes = (Zelf.Binary.text w.Workloads.Synthetic.binary).Zelf.Section.size in
+      say "%-18s %10d %14.4f %14.4f %14.4f %8d %8d" w.Workloads.Synthetic.name text_bytes
+        t.Zipr.Pipeline.ir_construction_s t.Zipr.Pipeline.transformation_s
+        t.Zipr.Pipeline.reassembly_s s.Zipr.Reassemble.dollops_placed
+        s.Zipr.Reassemble.alloc_queries)
+    specs;
   say "(paper: libc 1.6MB in under 6 min; libjvm 12MB in under 58 min; Apache 624K in 71 s —";
   say " i.e. roughly linear in binary size, which the rows above should reproduce in shape)"
 
 (* ------------------------------------------------------------------ *)
-(* Alloc: free-space index microbenchmark                              *)
+(* Ablations (§II-A2, §III) and the defense comparison (§IV-B)         *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct evidence for the allocator rework: the augmented-tree
-   Interval_set vs a naive sorted-list reference (the shape of the old
-   implementation) on the three positional queries placement actually
-   issues.  The workload binaries are small enough that end-to-end
-   timings only hint at the asymptotic gap; this measures it. *)
-let alloc () =
-  say "== Alloc: free-space index — augmented tree vs linear scan ==";
-  let module Iset = Zipr_util.Interval_set in
-  let gaps n =
-    (* Deterministic, disjoint, non-adjacent, varied widths. *)
-    List.init n (fun i ->
-        let lo = i * 96 in
-        (lo, lo + 16 + (i * 7919 mod 48)))
-  in
-  (* Naive reference: ascending (lo, hi) list, linear scans throughout. *)
-  let nv_first_fit l ~size = List.find_opt (fun (lo, hi) -> hi - lo >= size) l in
-  let nv_fit_in_window l ~lo ~hi ~size =
-    List.find_map
-      (fun (glo, ghi) ->
-        let a = max glo lo and b = min ghi hi in
-        if b - a >= size then Some a else None)
-      l
-  in
-  let nv_best_fit_near l ~center ~size =
-    List.fold_left
-      (fun best (glo, ghi) ->
-        if ghi - glo < size then best
-        else
-          let a = max glo (min center (ghi - size)) in
-          let d = abs (a - center) in
-          match best with Some (_, bd) when bd <= d -> best | _ -> Some (a, d))
-      None l
-    |> Option.map fst
-  in
-  let time f =
-    let reps = 2000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  in
-  say "%8s %-16s %12s %12s %9s" "gaps" "query" "tree(ns)" "scan(ns)" "speedup";
-  List.iter
-    (fun n ->
-      let l = gaps n in
-      let t = List.fold_left (fun s (lo, hi) -> Iset.add s ~lo ~hi) Iset.empty l in
-      let span = n * 96 in
-      (* 64 never fits (widths cap at 63): the "any gap big enough?" probe
-         that decides overflow spill, worst-case for a scan. *)
-      let sizes = [| 8; 17; 33; 48; 61; 64 |] in
-      let probe i = sizes.(i mod Array.length sizes) in
-      let queries =
-        [
-          ( "first_fit",
-            (fun i -> ignore (Iset.first_fit t ~size:(probe i))),
-            fun i -> ignore (nv_first_fit l ~size:(probe i)) );
-          ( "fit_in_window",
-            (fun i ->
-              let lo = i * 131 mod span in
-              ignore (Iset.fit_in_window t ~lo ~hi:(lo + 4096) ~size:(probe i))),
-            fun i ->
-              let lo = i * 131 mod span in
-              ignore (nv_fit_in_window l ~lo ~hi:(lo + 4096) ~size:(probe i)) );
-          ( "best_fit_near",
-            (fun i -> ignore (Iset.best_fit_near t ~center:(i * 257 mod span) ~size:(probe i))),
-            fun i -> ignore (nv_best_fit_near l ~center:(i * 257 mod span) ~size:(probe i)) );
-        ]
-      in
-      List.iter
-        (fun (qname, tree_q, scan_q) ->
-          let i = ref 0 in
-          let tree_ns = time (fun () -> incr i; tree_q !i) in
-          let scan_ns = time (fun () -> incr i; scan_q !i) in
-          say "%8d %-16s %12.0f %12.0f %8.1fx" n qname tree_ns scan_ns (scan_ns /. tree_ns))
-        queries)
-    [ 256; 2048; 16384 ];
-  say "(linear scans grow with the gap count; the augmented tree stays logarithmic, which is";
-  say " what keeps placement cost flat as fragmentation shatters the text span)"
+(* The first 16 CBs rewritten under one configuration.  The overhead
+   means add the CBs last first, as these tables always have, so every
+   printed digit is stable; the poller and PoV tallies run only where a
+   table prints them. *)
+type eval16 = {
+  size : float;
+  exec : float;
+  mem : float;
+  stats : Zipr.Reassemble.stats;  (* summed over the 16 rewrites *)
+  func : (int * int) Lazy.t;  (* pollers passed, pollers run *)
+  blocked : (int * int) Lazy.t;  (* PoVs blocked, PoVs attempted *)
+}
 
-(* ------------------------------------------------------------------ *)
-(* Ablation: placement strategies (§III)                               *)
-(* ------------------------------------------------------------------ *)
+let eval16 ?(config = Zipr.Pipeline.default_config) transforms =
+  let runs =
+    List.map
+      (fun (e : Cgc.Corpus.entry) ->
+        let r = Zipr.Pipeline.rewrite ~config ~transforms e.binary in
+        let rw = r.Zipr.Pipeline.rewritten in
+        (e, rw, r.Zipr.Pipeline.stats, Cgc.Score.overheads ~orig:e.binary ~rewritten:rw e.pollers))
+      (Cgc.Corpus.build ~n:16 ())
+  in
+  let mean f = Stats.mean (List.rev_map (fun (_, _, _, ov) -> f ov) runs) in
+  let tally f =
+    lazy (List.fold_left (fun (a, b) (x, y) -> (a + x, b + y)) (0, 0) (List.map f runs))
+  in
+  {
+    size = mean (fun ov -> ov.Cgc.Score.size_pct);
+    exec = mean (fun ov -> ov.Cgc.Score.exec_pct);
+    mem = mean (fun ov -> ov.Cgc.Score.mem_pct);
+    stats =
+      List.fold_left (fun acc (_, _, s, _) -> Zipr.Reassemble.merge_stats acc s)
+        Zipr.Reassemble.zero_stats runs;
+    func =
+      tally (fun ((e : Cgc.Corpus.entry), rw, _, _) ->
+          let c = Cgc.Poller.functional_check ~orig:e.binary ~rewritten:rw e.pollers in
+          (c.Cgc.Poller.passed, c.Cgc.Poller.total));
+    blocked =
+      tally (fun ((e : Cgc.Corpus.entry), rw, _, _) ->
+          let outcomes = Cgc.Pov.attempt_all rw e.meta in
+          let blocked = List.filter (fun (_, o) -> o <> Cgc.Pov.Exploited) outcomes in
+          (List.length blocked, List.length outcomes));
+  }
 
 let ablation () =
   say "== Ablation: placement strategy (naive / optimized / random), 16 CBs ==";
-  let entries = Cgc.Corpus.build ~n:16 () in
   say "%-11s %12s %12s %12s %10s %8s %8s" "strategy" "size ovh" "exec ovh" "mem ovh" "colocated"
     "chains" "overflow";
   List.iter
-    (fun (sname, strategy) ->
-      let sizes = ref [] and execs = ref [] and mems = ref [] in
-      let colocated = ref 0 and chains = ref 0 and overflow = ref 0 in
-      List.iter
-        (fun (e : Cgc.Corpus.entry) ->
-          let orig = e.Cgc.Corpus.binary in
-          let config =
-            { Zipr.Pipeline.default_config with Zipr.Pipeline.placement = strategy }
-          in
-          let r = Zipr.Pipeline.rewrite ~config ~transforms:[ Transforms.Null.transform ] orig in
-          let ov =
-            Cgc.Score.overheads ~orig ~rewritten:r.Zipr.Pipeline.rewritten
-              e.Cgc.Corpus.pollers
-          in
-          sizes := ov.Cgc.Score.size_pct :: !sizes;
-          execs := ov.Cgc.Score.exec_pct :: !execs;
-          mems := ov.Cgc.Score.mem_pct :: !mems;
-          colocated := !colocated + r.Zipr.Pipeline.stats.Zipr.Reassemble.pins_colocated;
-          chains := !chains + r.Zipr.Pipeline.stats.Zipr.Reassemble.chain_hops;
-          overflow := !overflow + r.Zipr.Pipeline.stats.Zipr.Reassemble.overflow_bytes)
-        entries;
-      say "%-11s %+11.2f%% %+11.2f%% %+11.2f%% %10d %8d %8d" sname (Stats.mean !sizes)
-        (Stats.mean !execs) (Stats.mean !mems) !colocated !chains !overflow)
+    (fun (sname, placement) ->
+      let config = { Zipr.Pipeline.default_config with placement } in
+      let v = eval16 ~config [ Transforms.Null.transform ] in
+      say "%-11s %+11.2f%% %+11.2f%% %+11.2f%% %10d %8d %8d" sname v.size v.exec v.mem
+        v.stats.pins_colocated v.stats.chain_hops v.stats.overflow_bytes)
     [
       ("naive", Zipr.Placement.naive);
       ("optimized", Zipr.Placement.optimized);
@@ -603,36 +288,16 @@ let ablation () =
   say "(§III: the optimized layout trades layout diversity for space/memory efficiency;";
   say " naive and random spill more code and keep fewer pins colocated)"
 
-(* ------------------------------------------------------------------ *)
-(* Ablation 2: pinned-address policy (the |P - B| trade-off of II-A2)  *)
-(* ------------------------------------------------------------------ *)
-
 let pinning () =
   say "== Ablation: pinning policy — conservative (after-call pins) vs relaxed, 16 CBs ==";
-  let entries = Cgc.Corpus.build ~n:16 () in
   say "%-14s %8s %12s %12s %10s" "policy" "|P|" "size ovh" "exec ovh" "func";
   List.iter
     (fun (pname, pin_config) ->
-      let pins = ref 0 and sizes = ref [] and execs = ref [] in
-      let passed = ref 0 and total = ref 0 in
-      List.iter
-        (fun (e : Cgc.Corpus.entry) ->
-          let orig = e.Cgc.Corpus.binary in
-          let config = { Zipr.Pipeline.default_config with Zipr.Pipeline.pin_config } in
-          let r = Zipr.Pipeline.rewrite ~config ~transforms:[ Transforms.Null.transform ] orig in
-          pins := !pins + r.Zipr.Pipeline.stats.Zipr.Reassemble.pins_total;
-          let ov = Cgc.Score.overheads ~orig ~rewritten:r.Zipr.Pipeline.rewritten e.Cgc.Corpus.pollers in
-          sizes := ov.Cgc.Score.size_pct :: !sizes;
-          execs := ov.Cgc.Score.exec_pct :: !execs;
-          let chk =
-            Cgc.Poller.functional_check ~orig ~rewritten:r.Zipr.Pipeline.rewritten
-              e.Cgc.Corpus.pollers
-          in
-          passed := !passed + chk.Cgc.Poller.passed;
-          total := !total + chk.Cgc.Poller.total)
-        entries;
-      say "%-14s %8d %+11.2f%% %+11.2f%% %6d/%d" pname !pins (Stats.mean !sizes)
-        (Stats.mean !execs) !passed !total)
+      let config = { Zipr.Pipeline.default_config with pin_config } in
+      let v = eval16 ~config [ Transforms.Null.transform ] in
+      let passed, total = Lazy.force v.func in
+      say "%-14s %8d %+11.2f%% %+11.2f%% %6d/%d" pname v.stats.pins_total v.size v.exec passed
+        total)
     [
       ("conservative", { Analysis.Ibt.pin_after_calls = true });
       ("relaxed", { Analysis.Ibt.pin_after_calls = false });
@@ -640,34 +305,14 @@ let pinning () =
   say "(II-A2: a larger P is always safe but less space-efficient; after-call pins are the";
   say " bulk of |P - B| and dropping them assumes no code computes on return addresses)"
 
-(* ------------------------------------------------------------------ *)
-(* Ablation 3: jump-table rewriting (statically modelled IBTs, II-A2)  *)
-(* ------------------------------------------------------------------ *)
-
 let jtrw () =
   say "== Ablation: jump-table rewriting (statically modelled IBTs), 16 CBs ==";
-  let entries = Cgc.Corpus.build ~n:16 () in
   say "%-22s %12s %12s %10s" "configuration" "exec ovh" "size ovh" "func";
   List.iter
     (fun (cname, transforms) ->
-      let sizes = ref [] and execs = ref [] in
-      let passed = ref 0 and total = ref 0 in
-      List.iter
-        (fun (e : Cgc.Corpus.entry) ->
-          let orig = e.Cgc.Corpus.binary in
-          let r = Zipr.Pipeline.rewrite ~transforms orig in
-          let ov = Cgc.Score.overheads ~orig ~rewritten:r.Zipr.Pipeline.rewritten e.Cgc.Corpus.pollers in
-          sizes := ov.Cgc.Score.size_pct :: !sizes;
-          execs := ov.Cgc.Score.exec_pct :: !execs;
-          let chk =
-            Cgc.Poller.functional_check ~orig ~rewritten:r.Zipr.Pipeline.rewritten
-              e.Cgc.Corpus.pollers
-          in
-          passed := !passed + chk.Cgc.Poller.passed;
-          total := !total + chk.Cgc.Poller.total)
-        entries;
-      say "%-22s %+11.2f%% %+11.2f%% %6d/%d" cname (Stats.mean !execs) (Stats.mean !sizes)
-        !passed !total)
+      let v = eval16 transforms in
+      let passed, total = Lazy.force v.func in
+      say "%-22s %+11.2f%% %+11.2f%% %6d/%d" cname v.exec v.size passed total)
     [
       ("null", [ Transforms.Null.transform ]);
       ("jumptable-rewrite", [ Transforms.Jumptable_rewrite.transform ]);
@@ -677,39 +322,16 @@ let jtrw () =
   say "(II-A2: IBTs whose behaviour is statically modelled need no pin indirection; the";
   say " rewritten tables follow their targets via relocations)"
 
-(* ------------------------------------------------------------------ *)
-(* Defense comparison: the paper's §IV-B closing list, evaluated        *)
-(* ------------------------------------------------------------------ *)
-
 let defenses () =
   say "== Defense comparison (§IV-B: the transforms the paper applied but could not evaluate), 16 CBs ==";
-  let entries = Cgc.Corpus.build ~n:16 () in
   say "%-24s %10s %10s %10s %8s %14s" "defense" "size ovh" "exec ovh" "mem ovh" "func" "PoVs blocked";
   List.iter
     (fun (dname, transforms) ->
-      let sizes = ref [] and execs = ref [] and mems = ref [] in
-      let passed = ref 0 and total = ref 0 in
-      let blocked = ref 0 and povs = ref 0 in
-      List.iter
-        (fun (e : Cgc.Corpus.entry) ->
-          let orig = e.Cgc.Corpus.binary in
-          let r = Zipr.Pipeline.rewrite ~transforms orig in
-          let rw = r.Zipr.Pipeline.rewritten in
-          let ov = Cgc.Score.overheads ~orig ~rewritten:rw e.Cgc.Corpus.pollers in
-          sizes := ov.Cgc.Score.size_pct :: !sizes;
-          execs := ov.Cgc.Score.exec_pct :: !execs;
-          mems := ov.Cgc.Score.mem_pct :: !mems;
-          let chk = Cgc.Poller.functional_check ~orig ~rewritten:rw e.Cgc.Corpus.pollers in
-          passed := !passed + chk.Cgc.Poller.passed;
-          total := !total + chk.Cgc.Poller.total;
-          List.iter
-            (fun (_, o) ->
-              incr povs;
-              if o <> Cgc.Pov.Exploited then incr blocked)
-            (Cgc.Pov.attempt_all rw e.Cgc.Corpus.meta))
-        entries;
-      say "%-24s %+9.1f%% %+9.1f%% %+9.1f%% %4d/%d %10d/%d" dname (Stats.mean !sizes)
-        (Stats.mean !execs) (Stats.mean !mems) !passed !total !blocked !povs)
+      let v = eval16 transforms in
+      let passed, total = Lazy.force v.func in
+      let blocked, povs = Lazy.force v.blocked in
+      say "%-24s %+9.1f%% %+9.1f%% %+9.1f%% %4d/%d %10d/%d" dname v.size v.exec v.mem passed total
+        blocked povs)
     [
       ("null (baseline)", [ Transforms.Null.transform ]);
       ("cfi", [ Transforms.Cfi.transform ]);
@@ -723,160 +345,6 @@ let defenses () =
   say "(the paper lists stack randomization, canary randomization and code mixing as applied";
   say " with Zipr but unevaluated for space; stack-pad blocks the fixed-offset PoV only by";
   say " displacement, and pure-diversity transforms block nothing — defense in depth matters)"
-
-(* ------------------------------------------------------------------ *)
-(* Serve: the rewriting daemon under concurrent load                   *)
-(* ------------------------------------------------------------------ *)
-
-(* An in-process load test of the serve subsystem: start a daemon on a
-   Unix socket, hammer it from [--clients N] client domains, and report
-   latency percentiles, throughput, shared-IR-cache effectiveness and
-   overload behaviour.  Always writes BENCH_serve.json — the serve
-   analog of BENCH_throughput.json; its fields are documented in the
-   README's "Serving" section. *)
-let serve_bench () =
-  say "== Serve: daemon latency/throughput under %d concurrent clients ==" !clients;
-  let sock_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "zipr-bench-%d.sock" (Unix.getpid ()))
-  in
-  let config =
-    {
-      Serve.Server.default_config with
-      Serve.Server.jobs = Zipr.Pipeline.resolve_jobs !jobs;
-      queue_bound = max 4 (2 * !clients);
-    }
-  in
-  let server =
-    Serve.Server.create ~config ~resolve_transform:Transforms.Registry.by_name
-      (Serve.Protocol.Unix_path sock_path)
-  in
-  let addr = Serve.Server.address server in
-  let server_domain = Domain.spawn (fun () -> Serve.Server.serve server) in
-  (* The request mix: the scale-out corpus — distinct binaries (cache
-     misses on first touch) revisited by every client (hits thereafter).
-     The handful of members the pipeline cannot rewrite (pin slot vs
-     fixed island, see the placement bench) are filtered out offline so
-     every served request is expected to succeed. *)
-  let corpus_generated = 128 in
-  let corpus = Workloads.Scale.corpus ~seed:17 ~count:corpus_generated () in
-  let inputs =
-    List.filter_map
-      (fun (it : Workloads.Scale.item) ->
-        let binary = it.Workloads.Scale.binary in
-        match Zipr.Pipeline.try_rewrite ~transforms:[ Transforms.Null.transform ] binary with
-        | Ok _ -> Some (Bytes.unsafe_to_string (Zelf.Binary.serialize binary))
-        | Error _ -> None)
-      corpus
-    |> Array.of_list
-  in
-  if Array.length inputs < 120 then
-    failwith
-      (Printf.sprintf "serve bench: only %d/%d supported corpus members (need >= 120)"
-         (Array.length inputs) corpus_generated);
-  let per_client = if !small_mode then 8 else 24 in
-  (* Warm the IR cache so the measured section exercises the steady
-     state; the misses recorded below are these first touches. *)
-  Array.iter
-    (fun data ->
-      match Serve.Client.rewrite ~options:Zipr.Options.default addr data with
-      | Ok { Serve.Protocol.Response.status = Serve.Protocol.Ok_; _ } -> ()
-      | Ok r ->
-          failwith
-            (Printf.sprintf "serve bench: warmup rejected: %s: %s"
-               (Serve.Protocol.status_to_string r.Serve.Protocol.Response.status)
-               r.Serve.Protocol.Response.message)
-      | Error msg -> failwith ("serve bench: warmup failed: " ^ msg))
-    inputs;
-  let t0 = Unix.gettimeofday () in
-  let run_client c =
-    let lat = ref [] and ok = ref 0 and rejects = ref 0 and errors = ref 0 in
-    for i = 0 to per_client - 1 do
-      let data = inputs.(((c * per_client) + i) mod Array.length inputs) in
-      let r0 = Unix.gettimeofday () in
-      (match
-         Serve.Client.rewrite
-           ~id:(Int64.of_int ((c * 1_000_000) + i))
-           ~options:Zipr.Options.default addr data
-       with
-      | Ok { Serve.Protocol.Response.status = Serve.Protocol.Ok_; _ } ->
-          incr ok;
-          lat := (Unix.gettimeofday () -. r0) *. 1e3 :: !lat
-      | Ok { Serve.Protocol.Response.status = Serve.Protocol.Overloaded; _ } -> incr rejects
-      | Ok _ | Error _ -> incr errors)
-    done;
-    (!lat, !ok, !rejects, !errors)
-  in
-  let domains = List.init !clients (fun c -> Domain.spawn (fun () -> run_client c)) in
-  let results = List.map Domain.join domains in
-  let wall = Unix.gettimeofday () -. t0 in
-  Serve.Server.stop server;
-  Domain.join server_domain;
-  let lats = List.concat_map (fun (l, _, _, _) -> l) results in
-  let ok = List.fold_left (fun a (_, o, _, _) -> a + o) 0 results in
-  let rejects = List.fold_left (fun a (_, _, r, _) -> a + r) 0 results in
-  let errors = List.fold_left (fun a (_, _, _, e) -> a + e) 0 results in
-  let total = !clients * per_client in
-  let s = Serve.Server.stats server in
-  let cache_lookups = s.Serve.Server.cache_hits + s.Serve.Server.cache_misses in
-  let hit_rate =
-    if cache_lookups = 0 then 0.0
-    else float_of_int s.Serve.Server.cache_hits /. float_of_int cache_lookups
-  in
-  let p50 = Stats.percentile lats 50.0
-  and p90 = Stats.percentile lats 90.0
-  and p99 = Stats.percentile lats 99.0 in
-  let lmax = List.fold_left max 0.0 lats in
-  say "corpus                %10d  members (%d generated)" (Array.length inputs)
-    corpus_generated;
-  say "requests              %10d  (%d ok, %d overloaded, %d errors)" total ok rejects errors;
-  say "wall clock            %10.4f s  (%.1f req/s)" wall (float_of_int ok /. wall);
-  say "latency p50           %10.2f ms" p50;
-  say "latency p90           %10.2f ms" p90;
-  say "latency p99           %10.2f ms" p99;
-  say "latency max           %10.2f ms" lmax;
-  say "ir cache              %10d hits / %d misses (%.0f%% hit rate)" s.Serve.Server.cache_hits
-    s.Serve.Server.cache_misses (hit_rate *. 100.0);
-  say "queue high water      %10d  (bound %d)" s.Serve.Server.queue_high_water
-    s.Serve.Server.queue_bound;
-  if errors > 0 then failwith "serve bench: unexpected request errors";
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"serve\",\n\
-    \  \"clients\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"corpus_generated\": %d,\n\
-    \  \"corpus_members\": %d,\n\
-    \  %s,\n\
-    \  \"requests_total\": %d,\n\
-    \  \"ok\": %d,\n\
-    \  \"overloaded_rejects\": %d,\n\
-    \  \"errors\": %d,\n\
-    \  \"wall_clock_s\": %.6f,\n\
-    \  \"requests_per_s\": %.3f,\n\
-    \  \"latency_ms\": %s,\n\
-    \  \"latency_p50_ms\": %.3f,\n\
-    \  \"latency_p90_ms\": %.3f,\n\
-    \  \"latency_p99_ms\": %.3f,\n\
-    \  \"latency_max_ms\": %.3f,\n\
-    \  \"cache_hits\": %d,\n\
-    \  \"cache_misses\": %d,\n\
-    \  \"cache_hit_rate\": %.4f,\n\
-    \  \"cache_resident_bytes\": %d,\n\
-    \  \"cache_evictions\": %d,\n\
-    \  \"queue_bound\": %d,\n\
-    \  \"queue_high_water\": %d\n\
-     }\n"
-    !clients config.Serve.Server.jobs corpus_generated (Array.length inputs)
-    (host_json ~corpus_size:(Array.length inputs))
-    total ok rejects errors wall
-    (float_of_int ok /. wall)
-    (dist_json lats) p50 p90 p99 lmax s.Serve.Server.cache_hits s.Serve.Server.cache_misses
-    hit_rate s.Serve.Server.cache_resident_bytes s.Serve.Server.cache_evictions
-    s.Serve.Server.queue_bound s.Serve.Server.queue_high_water;
-  close_out oc;
-  say "wrote BENCH_serve.json (%d clients at --jobs %d)" !clients config.Serve.Server.jobs
 
 (* ------------------------------------------------------------------ *)
 (* Delta: warm IR over a versioned corpus                             *)
@@ -941,23 +409,13 @@ let delta_bench () =
     (hits warm) versions;
   say "warm outputs          %s" (if id_warm then "byte-identical" else "DIVERGED");
   say "jobs=4 outputs        %s" (if id_jobs4 then "byte-identical" else "DIVERGED");
-  let oc = open_out "BENCH_delta.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"delta\",\n\
-    \  \"versions\": %d,\n\
-    \  \"n_routines\": %d,\n\
-    \  \"cold_ir_s\": %.6f,\n\
-    \  \"warm_ir_s\": %.6f,\n\
-    \  \"warm_speedup\": %.3f,\n\
-    \  \"warm_ir_cache_hits\": %d,\n\
-    \  \"byte_identical_warm\": %b,\n\
-    \  \"byte_identical_jobs4\": %b,\n\
-    \  %s\n\
-     }\n"
-    versions n_routines cold_ir warm_ir warm_speedup (hits warm) id_warm id_jobs4
-    (host_json ~corpus_size:versions);
-  close_out oc;
+  write_json "BENCH_delta.json"
+    (Obj
+       [ ("experiment", String "delta"); ("versions", Int versions); ("n_routines", Int n_routines);
+         ("cold_ir_s", Fixed (6, cold_ir)); ("warm_ir_s", Fixed (6, warm_ir));
+         ("warm_speedup", Fixed (3, warm_speedup)); ("warm_ir_cache_hits", Int (hits warm));
+         ("byte_identical_warm", Bool id_warm); ("byte_identical_jobs4", Bool id_jobs4);
+         host ~corpus_size:versions ]);
   say "wrote BENCH_delta.json (%d versions)" versions;
   if not (id_warm && id_jobs4) then failwith "delta bench: outputs diverged from the cold path";
   if hits warm <> versions || hits warm4 <> versions then
@@ -1123,13 +581,7 @@ let placement_bench () =
             (fun acc (_, a) (_, b) -> if Bytes.equal a b then acc else acc + 1)
             0 oa ob
         in
-        let ov =
-          List.map
-            (fun (i, out) ->
-              Stats.overhead_pct ~baseline:(float_of_int in_size.(i))
-                ~measured:(float_of_int (Bytes.length out)))
-            oa
-        in
+        let ov = overheads ra in
         let rate = float_of_int distinct /. float_of_int (max 1 (List.length oa)) in
         say "epsilon %.2f          distinct layouts %5.1f%%  mean overhead %6.2f%%"
           epsilon (100.0 *. rate) (Stats.mean ov);
@@ -1143,67 +595,37 @@ let placement_bench () =
   let gate_pass = id_jobs && reduction >= 0.05 in
   say "search vs optimized   %.2f%% -> %.2f%% mean overhead (%.1f%% relative reduction)"
     optimized_mean search_mean (100.0 *. reduction);
-  let oc = open_out "BENCH_placement.json" in
   let strategy_json (name, ov, (ms : Zipr.Reassemble.stats)) =
-    Printf.sprintf
-      "    \"%s\": {\n\
-      \      \"size_overhead_mean\": %.4f,\n\
-      \      \"size_overhead_p50\": %.4f,\n\
-      \      \"size_overhead_p90\": %.4f,\n\
-      \      \"size_overhead_max\": %.4f,\n\
-      \      \"overflow_bytes\": %d,\n\
-      \      \"chain_hops\": %d,\n\
-      \      \"slot_expansions\": %d,\n\
-      \      \"dollops_split\": %d,\n\
-      \      \"page_misses\": %d,\n\
-      \      \"placement_cost\": %.1f,\n\
-      \      \"search_iterations\": %d,\n\
-      \      \"search_accepted\": %d,\n\
-      \      \"search_rejected\": %d\n\
-      \    }"
-      name (Stats.mean ov) (Stats.percentile ov 50.0) (Stats.percentile ov 90.0)
-      (Stats.percentile ov 100.0)
-      ms.Zipr.Reassemble.overflow_bytes ms.Zipr.Reassemble.chain_hops
-      ms.Zipr.Reassemble.slot_expansions ms.Zipr.Reassemble.dollops_split
-      ms.Zipr.Reassemble.page_misses ms.Zipr.Reassemble.placement_cost
-      ms.Zipr.Reassemble.search_iterations ms.Zipr.Reassemble.search_accepted
-      ms.Zipr.Reassemble.search_rejected
+    let p q = Json.Fixed (4, Stats.percentile ov q) in
+    ( name,
+      Json.Obj
+        [ ("size_overhead_mean", Fixed (4, Stats.mean ov)); ("size_overhead_p50", p 50.0);
+          ("size_overhead_p90", p 90.0); ("size_overhead_max", p 100.0);
+          ("overflow_bytes", Int ms.overflow_bytes); ("chain_hops", Int ms.chain_hops);
+          ("slot_expansions", Int ms.slot_expansions); ("dollops_split", Int ms.dollops_split);
+          ("page_misses", Int ms.page_misses); ("placement_cost", Fixed (1, ms.placement_cost));
+          ("search_iterations", Int ms.search_iterations);
+          ("search_accepted", Int ms.search_accepted);
+          ("search_rejected", Int ms.search_rejected) ] )
   in
-  let tradeoff_json =
-    String.concat ",\n"
-      (List.map
-         (fun (e, rate, ov) ->
-           Printf.sprintf
-             "    { \"epsilon\": %.2f, \"distinct_layout_rate\": %.4f, \
-              \"size_overhead_mean\": %.4f }"
-             e rate ov)
-         tradeoff)
+  let tradeoff_json (e, rate, ov) =
+    Json.Obj
+      [ ("epsilon", Fixed (2, e)); ("distinct_layout_rate", Fixed (4, rate));
+        ("size_overhead_mean", Fixed (4, ov)) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"placement\",\n\
-    \  \"corpus_count\": %d,\n\
-    \  \"corpus_failed\": %d,\n\
-    \  \"excluded\": [%s],\n\
-    \  \"corpus_seed\": %d,\n\
-    \  \"strategies\": {\n\
-     %s\n\
-    \  },\n\
-    \  \"byte_identical_jobs\": %b,\n\
-    \  \"tradeoff\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"search_gate\": { \"relative_reduction\": %.4f, \"floor\": 0.05, \"pass\": %b },\n\
-    \  %s\n\
-     }\n"
-    count failed
-    (String.concat ", "
-       (List.map (fun (_, name, _) -> Printf.sprintf "\"%s\"" name) excluded))
-    corpus_seed
-    (String.concat ",\n" (List.map strategy_json dists))
-    id_jobs tradeoff_json reduction gate_pass
-    (host_json ~corpus_size:count);
-  close_out oc;
+  write_json "BENCH_placement.json"
+    (Obj
+       [ ("experiment", String "placement"); ("corpus_count", Int count);
+         ("corpus_failed", Int failed);
+         ("excluded", List (List.map (fun (_, name, _) -> Json.String name) excluded));
+         ("corpus_seed", Int corpus_seed); ("strategies", Obj (List.map strategy_json dists));
+         ("byte_identical_jobs", Bool id_jobs);
+         ("tradeoff", List (List.map tradeoff_json tradeoff));
+         ( "search_gate",
+           Obj
+             [ ("relative_reduction", Fixed (4, reduction)); ("floor", Fixed (2, 0.05));
+               ("pass", Bool gate_pass) ] );
+         host ~corpus_size:count ]);
   say "wrote BENCH_placement.json (%d binaries)" count;
   if not id_jobs then failwith "placement bench: search outputs diverged across --jobs";
   if reduction < 0.05 then
@@ -1230,10 +652,6 @@ let placement_bench () =
      - disabling the refiner does not reproduce the baseline bytes. *)
 let infer_bench () =
   say "== Infer: inference-based third source over the adversarial corpus ==";
-  let take n xs =
-    let rec go i = function x :: tl when i < n -> x :: go (i + 1) tl | _ -> [] in
-    go 0 xs
-  in
   let suite_cap = if !small_mode then 15 else 60 in
   let specs = Workloads.Synthetic.libc_like () :: Workloads.Adversarial.all () in
   let transforms = [ Transforms.Null.transform ] in
@@ -1282,7 +700,7 @@ let infer_bench () =
         let overhead n = 100.0 *. float_of_int (n - orig_bytes) /. float_of_int orig_bytes in
         (* Differential soundness gate: transcript comparison over the
            workload's poller suite, original vs the [--infer] rewrite. *)
-        let suite = take suite_cap spec.Workloads.Synthetic.test_suite in
+        let suite = List.filteri (fun i _ -> i < suite_cap) spec.Workloads.Synthetic.test_suite in
         let check =
           Cgc.Poller.functional_check ~orig:b
             ~rewritten:r_on.Zipr.Pipeline.rewritten suite
@@ -1300,42 +718,23 @@ let infer_bench () =
           spec.Workloads.Synthetic.name amb_base amb_inf reduction
           inf.Disasm.Infer.closed (overhead off_bytes) (overhead on_bytes)
           check.Cgc.Poller.passed check.Cgc.Poller.total;
-        ( spec.Workloads.Synthetic.name,
-          amb_base,
-          amb_inf,
-          reduction,
-          inf.Disasm.Infer.closed,
-          overhead off_bytes,
-          overhead on_bytes,
-          check.Cgc.Poller.total,
-          diverged ))
+        Json.Obj
+          [ ("name", String spec.Workloads.Synthetic.name); ("ambiguous_before", Int amb_base);
+            ("ambiguous_after", Int amb_inf); ("reduction_pct", Fixed (2, reduction));
+            ("closed", Bool inf.Disasm.Infer.closed);
+            ("overhead_off_pct", Fixed (3, overhead off_bytes));
+            ("overhead_on_pct", Fixed (3, overhead on_bytes));
+            ("fuzz_total", Int check.Cgc.Poller.total); ("fuzz_divergences", Int diverged) ])
       specs
   in
   say "libc-like reduction   %10.1f%%  (floor 10%%, target 15%%)" !libc_reduction;
   say "fuzz divergences      %10d" !divergences;
   say "byte-identity (off)   %s" (if !identity_off then "holds" else "VIOLATED");
-  let oc = open_out "BENCH_infer.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"infer\",\n\
-    \  %s,\n\
-    \  \"rows\": [%s\n  ],\n\
-    \  \"libc_reduction_pct\": %.2f,\n\
-    \  \"fuzz_divergences\": %d,\n\
-    \  \"byte_identity_off\": %b\n\
-     }\n"
-    (host_json ~corpus_size:(List.length specs))
-    (String.concat ","
-       (List.map
-          (fun (name, ab, ai, red, closed, ovoff, ovon, total, div) ->
-            Printf.sprintf
-              "\n    { \"name\": \"%s\", \"ambiguous_before\": %d, \"ambiguous_after\": \
-               %d, \"reduction_pct\": %.2f, \"closed\": %b, \"overhead_off_pct\": %.3f, \
-               \"overhead_on_pct\": %.3f, \"fuzz_total\": %d, \"fuzz_divergences\": %d }"
-              (Obs.Tracer.json_escape name) ab ai red closed ovoff ovon total div)
-          rows))
-    !libc_reduction !divergences !identity_off;
-  close_out oc;
+  write_json "BENCH_infer.json"
+    (Obj
+       [ ("experiment", String "infer"); host ~corpus_size:(List.length specs); ("rows", List rows);
+         ("libc_reduction_pct", Fixed (2, !libc_reduction));
+         ("fuzz_divergences", Int !divergences); ("byte_identity_off", Bool !identity_off) ]);
   say "wrote BENCH_infer.json (%d workloads)" (List.length rows);
   if not !identity_off then
     failwith "infer bench: baseline bytes changed with the refiner disabled";
@@ -1349,67 +748,6 @@ let infer_bench () =
          !libc_reduction)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  say "== Bechamel micro-benchmarks (one per table/figure) ==";
-  let open Bechamel in
-  let cb = Cgc.Corpus.entry 5 in
-  let orig = cb.Cgc.Corpus.binary in
-  let libc = Workloads.Synthetic.libc_like () in
-  let rewritten_null =
-    (Zipr.Pipeline.rewrite ~transforms:[ Transforms.Null.transform ] orig).Zipr.Pipeline.rewritten
-  in
-  let poller = List.hd cb.Cgc.Corpus.pollers in
-  let tests =
-    [
-      (* fig4/fig7: the cost of a full Null rewrite of a CB *)
-      Test.make ~name:"fig4:null-rewrite-cb"
-        (Staged.stage (fun () ->
-             ignore (Zipr.Pipeline.rewrite ~transforms:[ Transforms.Null.transform ] orig)));
-      (* fig5: executing a poller on the rewritten binary *)
-      Test.make ~name:"fig5:poller-run-rewritten"
-        (Staged.stage (fun () -> ignore (Cgc.Poller.run rewritten_null poller)));
-      (* fig6: CFI rewrite (the memory-heavy configuration) *)
-      Test.make ~name:"fig6:cfi-rewrite-cb"
-        (Staged.stage (fun () ->
-             ignore (Zipr.Pipeline.rewrite ~transforms:[ Transforms.Cfi.transform ] orig)));
-      (* e1/throughput: IR construction on the large workload *)
-      Test.make ~name:"e1:ir-construction-libc"
-        (Staged.stage (fun () ->
-             ignore (Zipr.Ir_construction.build libc.Workloads.Synthetic.binary)));
-      (* security: a PoV attempt *)
-      Test.make ~name:"security:pov-attempt"
-        (Staged.stage (fun () -> ignore (Cgc.Pov.attempt orig cb.Cgc.Corpus.meta)));
-      (* ablation: one dollop-placement-heavy reassembly *)
-      Test.make ~name:"ablation:random-placement"
-        (Staged.stage (fun () ->
-             let config =
-               { Zipr.Pipeline.default_config with Zipr.Pipeline.placement = Zipr.Placement.random }
-             in
-             ignore
-               (Zipr.Pipeline.rewrite ~config ~transforms:[ Transforms.Null.transform ] orig)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let anl = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name v ->
-          match Analyze.OLS.estimates v with
-          | Some [ est ] -> say "%-32s %12.1f ns/run" name est
-          | _ -> say "%-32s (no estimate)" name)
-        anl)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1420,61 +758,35 @@ let experiments =
     ("fig7", fig7);
     ("security", security);
     ("throughput", throughput);
-    ("alloc", alloc);
     ("ablation", ablation);
     ("pinning", pinning);
     ("jtrw", jtrw);
     ("defenses", defenses);
-    ("serve", serve_bench);
     ("delta", delta_bench);
     ("placement", placement_bench);
     ("infer", infer_bench);
-    ("micro", micro);
   ]
 
 let () =
   let argv = List.tl (Array.to_list Sys.argv) in
   let rec parse names = function
     | [] -> List.rev names
-    | "--json" :: rest ->
-        json_mode := true;
-        parse names rest
     | "--small" :: rest ->
         small_mode := true;
         parse names rest
     | "--jobs" :: n :: rest ->
         jobs := max 0 (int_of_string n);
         parse names rest
-    | f :: rest when String.length f > 7 && String.sub f 0 7 = "--jobs=" ->
-        jobs := max 0 (int_of_string (String.sub f 7 (String.length f - 7)));
-        parse names rest
     | "--count" :: n :: rest ->
         count_override := max 1 (int_of_string n);
         parse names rest
-    | f :: rest when String.length f > 8 && String.sub f 0 8 = "--count=" ->
-        count_override := max 1 (int_of_string (String.sub f 8 (String.length f - 8)));
-        parse names rest
-    | "--clients" :: n :: rest ->
-        clients := max 1 (int_of_string n);
-        parse names rest
-    | f :: rest when String.length f > 10 && String.sub f 0 10 = "--clients=" ->
-        clients := max 1 (int_of_string (String.sub f 10 (String.length f - 10)));
-        parse names rest
-    | "--trace" :: rest ->
-        trace_mode := true;
-        parse names rest
     | f :: rest when String.length f > 2 && String.sub f 0 2 = "--" ->
-        say
-          "unknown flag %S; available: --json, --small, --jobs N, --clients N, --count N, \
-           --trace"
-          f;
+        say "unknown flag %S; available: --small, --jobs N, --count N" f;
         parse names rest
     | name :: rest -> parse (name :: names) rest
   in
   let names = parse [] argv in
   let requested = match names with [] -> List.map fst experiments | _ -> names in
-  let sink = if !trace_mode then Some (Obs.Tracer.create ()) else None in
-  Option.iter Obs.install sink;
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
@@ -1484,10 +796,4 @@ let () =
       | None ->
           say "unknown experiment %S; available: %s" name
             (String.concat ", " (List.map fst experiments)))
-    requested;
-  Option.iter
-    (fun s ->
-      Obs.disable ();
-      say "== Trace: aggregated per-phase spans and counters ==";
-      print_string (Obs.Tracer.render s))
-    sink
+    requested

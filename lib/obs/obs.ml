@@ -1,7 +1,7 @@
-(* Zero-dependency observability: phase spans and atomic counters.
+(* Observability: phase spans and atomic counters.
 
    One process-global sink, installed explicitly by an entry point
-   (ziprtool --trace, bench --trace, a test) and shared by every domain.
+   (ziprtool --trace, a test) and shared by every domain.
    With no sink installed, every entry point is a single atomic load and
    a branch — no allocation, no clock read, no lock — so instrumented
    code pays nothing in the default configuration.  Instrumentation only

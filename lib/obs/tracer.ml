@@ -112,16 +112,7 @@ let deterministic_summary t =
 
 (* -- exporters -- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Zipr_util.Json
 
 (* Chrome trace_event format: one complete ("ph":"X") event per span,
    loadable by chrome://tracing and Perfetto.  The nesting path rides in
@@ -134,52 +125,52 @@ let chrome_json t =
       (fun a b -> compare (a.tid, a.ts_us, -a.dur_us, a.path) (b.tid, b.ts_us, -b.dur_us, b.path))
       (events t)
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n  {\"name\": \"%s\", \"cat\": \"zipr\", \"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"ts\": %d, \"dur\": %d, \"args\": {\"path\": \"%s\""
-           (json_escape e.name) e.tid e.ts_us e.dur_us (json_escape e.path));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string b (Printf.sprintf ", \"%s\": \"%s\"" (json_escape k) (json_escape v)))
-        e.args;
-      Buffer.add_string b "}}")
-    es;
-  Buffer.add_string b "\n],\n\"counters\": {";
-  List.iteri
-    (fun i (n, _, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n  \"%s\": %d" (json_escape n) v))
-    (Counters.snapshot t.counters);
-  Buffer.add_string b "\n}}\n";
-  Buffer.contents b
+  let event e =
+    let args = List.map (fun (k, v) -> (k, Json.String v)) e.args in
+    Json.Obj
+      [
+        ("name", String e.name);
+        ("cat", String "zipr");
+        ("ph", String "X");
+        ("pid", Int 1);
+        ("tid", Int e.tid);
+        ("ts", Int e.ts_us);
+        ("dur", Int e.dur_us);
+        ("args", Obj (("path", String e.path) :: args));
+      ]
+  in
+  let counters = List.map (fun (n, _, v) -> (n, Json.Int v)) (Counters.snapshot t.counters) in
+  Json.to_string
+    (Obj
+       [
+         ("displayTimeUnit", String "ms");
+         ("traceEvents", List (List.map event es));
+         ("counters", Obj counters);
+       ])
 
 (* Flat aggregated report: per-path totals plus the full counter
    registry, as JSON (for CI/jq) or a text table (for humans). *)
 let report_json t =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\"spans\": [";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n  {\"path\": \"%s\", \"count\": %d, \"total_us\": %d, \"min_us\": %d, \"max_us\": %d}"
-           (json_escape r.row_path) r.count r.total_us r.min_us r.max_us))
-    (aggregate t);
-  Buffer.add_string b "\n],\n\"counters\": [";
-  List.iteri
-    (fun i (n, kind, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n  {\"name\": \"%s\", \"kind\": \"%s\", \"value\": %d}" (json_escape n)
-           (Counters.kind_to_string kind) v))
-    (Counters.snapshot t.counters);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let row r =
+    Json.Obj
+      [
+        ("path", String r.row_path);
+        ("count", Int r.count);
+        ("total_us", Int r.total_us);
+        ("min_us", Int r.min_us);
+        ("max_us", Int r.max_us);
+      ]
+  in
+  let counter (n, kind, v) =
+    Json.Obj
+      [ ("name", String n); ("kind", String (Counters.kind_to_string kind)); ("value", Int v) ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ("spans", List (List.map row (aggregate t)));
+         ("counters", List (List.map counter (Counters.snapshot t.counters)));
+       ])
 
 let render t =
   let b = Buffer.create 2048 in

@@ -76,8 +76,8 @@ let rewrite_all ?(jobs = 1) ?(config = Zipr.Pipeline.default_config) ?(transform
   let tagged = Array.mapi (fun i it -> (i, it)) arr in
   let task = rewrite_one ?ir_cache ~config ~transforms ~corpus_seed in
   (* Domain spawn is pool overhead, not rewriting: keep it out of
-     [wall_clock_s] (and report it separately) so the speedup numbers
-     compare work against work, not work against work-plus-startup. *)
+     [wall_clock_s] (and report it separately) so the wall clock
+     measures work, not work plus startup. *)
   let spawn0 = Unix.gettimeofday () in
   let pool = if jobs > 1 && n > 1 then Some (Pool.create ~jobs:(min jobs n) ()) else None in
   let pool_spawn_s = Unix.gettimeofday () -. spawn0 in

@@ -4,7 +4,7 @@
    connect, send one request frame, read one response frame, close.
    Every failure mode — refused connection, dead peer, protocol garbage
    from a confused server — comes back as [Error string]; nothing here
-   raises, so callers (the CLI, the bench load generator, the tests) can
+   raises, so callers (the CLI, perfbench, the tests) can
    treat a request as a total function. *)
 
 let connect addr =

@@ -2,7 +2,7 @@
 
     Every front end that accepts transform names — [ziprtool rewrite]
     and [batch], the [ziprtool serve] daemon resolving names arriving
-    over the wire, the bench load generator — resolves them here, so the
+    over the wire, perfbench — resolves them here, so the
     set of served transforms cannot drift between entry points. *)
 
 val all : Zipr.Transform.t list

@@ -45,6 +45,7 @@ let test_pool_map_order () =
       Array.iteri
         (fun i t -> Alcotest.(check int) "value in slot" ((2 * i) + 1) t.Pool.value)
         timed;
+      Alcotest.(check int) "one stat per worker" jobs (Array.length stats);
       let total = Array.fold_left (fun acc w -> acc + w.Pool.tasks_run) 0 stats in
       Alcotest.(check int) "every task ran once" 37 total)
     [ 1; 2; 4 ]

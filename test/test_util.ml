@@ -6,6 +6,7 @@ module Iset = Zipr_util.Interval_set
 module Hex = Zipr_util.Hex
 module Histogram = Zipr_util.Histogram
 module Stats = Zipr_util.Stats
+module Json = Zipr_util.Json
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -229,6 +230,39 @@ let test_histogram_bin_qcheck =
       in
       hits = 1 && counts.(expected) = 1)
 
+(* The one JSON writer: escaping, nesting, number format and layout. *)
+let test_json_emitter () =
+  let v =
+    Json.Obj
+      [
+        ("s", String "q\"b\\c\x01\x1f");
+        ("n", Int (-42));
+        ("f", Fixed (3, 2.5));
+        ("neg", Fixed (2, -3.14159));
+        ("nan", Fixed (1, Float.nan));
+        ( "nested",
+          Obj [ ("l", List [ Int 1; Obj [ ("deep", List [ Bool true; String "" ]) ] ]); ("e", List []) ]
+        );
+      ]
+  in
+  let s = Json.to_string v in
+  Alcotest.(check string)
+    "rendering"
+    {|{
+  "s": "q\"b\\c\u0001\u001f",
+  "n": -42,
+  "f": 2.500,
+  "neg": -3.14,
+  "nan": null,
+  "nested": {
+    "l": [1, {"deep": [true, ""]}],
+    "e": []
+  }
+}
+|}
+    s;
+  Alcotest.(check bool) "valid JSON" true (Json_check.is_valid s)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -255,4 +289,5 @@ let suite =
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
     Alcotest.test_case "stats edge cases" `Quick test_stats_edge_cases;
     QCheck_alcotest.to_alcotest test_percentile_qcheck;
+    Alcotest.test_case "json emitter" `Quick test_json_emitter;
   ]
