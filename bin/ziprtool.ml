@@ -363,24 +363,19 @@ let disasm_cmd =
 (* -- ir -- *)
 
 let ir_cmd =
-  let machine =
-    Arg.(value & flag & info [ "machine" ] ~doc:"Machine-readable IRDB records (restorable).")
-  in
-  let run machine path =
+  let run path =
     match load_binary path with
     | Error msg ->
         Printf.eprintf "error: %s\n" msg;
         1
     | Ok binary ->
         let ir = Zipr.Ir_construction.build binary in
-        print_string
-          (if machine then Irdb.Dump.serialize ir.Zipr.Ir_construction.db
-           else Irdb.Dump.to_string ir.Zipr.Ir_construction.db);
+        print_string (Irdb.Dump.to_string ir.Zipr.Ir_construction.db);
         0
   in
   Cmd.v
     (Cmd.info "ir" ~doc:"Dump the intermediate representation of a binary.")
-    Term.(const run $ machine $ input_file)
+    Term.(const run $ input_file)
 
 (* -- audit -- *)
 

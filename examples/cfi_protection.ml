@@ -35,8 +35,9 @@ let () =
   (* 4. ...while preserving functionality and staying inside the CGC
      performance envelope. *)
   let eval =
-    Cgc.Score.evaluate ~name:"demo" ~orig:binary ~rewritten:cfi.Zipr.Pipeline.rewritten ~meta
-      ~pollers
+    Cgc.Score.evaluate ~name:"demo" ~orig:binary
+      ~orig_runs:(List.map (Cgc.Poller.run binary) pollers)
+      ~rewritten:cfi.Zipr.Pipeline.rewritten ~meta ~pollers
   in
   Format.printf "with CFI: %a@." Cgc.Score.pp_eval eval;
   Format.printf "CFE-style score: %.3f (a blocked PoV doubles the availability score)@."

@@ -63,40 +63,39 @@ let generate meta ~seed ~count =
       if Rng.bool rng then Buffer.add_char buf 'q';
       { input = Buffer.contents buf })
 
-let run ?(fuel = 5_000_000) binary script = Zelf.Image.boot ~fuel binary ~input:script.input
+let default_fuel = 5_000_000
+
+let run ?(fuel = default_fuel) binary script = Zelf.Image.boot ~fuel binary ~input:script.input
 
 type check = { total : int; passed : int; failures : (script * string) list }
 
+let replay ?(fuel = default_fuel) ~orig ~rewritten scripts =
+  let judged =
+    List.map2
+      (fun script a ->
+        let b = run ~fuel:(Zipr.Verify.rewrite_fuel fuel) rewritten script in
+        ( b,
+          match Zipr.Verify.compare_runs ~orig:a ~rewritten:b with
+          | Zipr.Verify.Diverged reason -> Some (script, reason)
+          | Zipr.Verify.Equivalent | Zipr.Verify.Undecided -> None ))
+      scripts orig
+  in
+  let failures = List.filter_map snd judged in
+  let total = List.length scripts in
+  ({ total; passed = total - List.length failures; failures }, List.map fst judged)
+
 let functional_check ?fuel ~orig ~rewritten scripts =
-  let failures = ref [] in
-  let passed = ref 0 in
-  List.iter
-    (fun script ->
-      let a = run ?fuel orig script in
-      let b = run ?fuel rewritten script in
-      if a.Zvm.Vm.output <> b.Zvm.Vm.output then
-        failures := (script, "output mismatch") :: !failures
-      else if not (Zvm.Vm.equal_stop a.Zvm.Vm.stop b.Zvm.Vm.stop) then
-        failures :=
-          ( script,
-            Printf.sprintf "status mismatch: %s vs %s"
-              (Zvm.Vm.stop_to_string a.Zvm.Vm.stop)
-              (Zvm.Vm.stop_to_string b.Zvm.Vm.stop) )
-          :: !failures
-      else incr passed)
-    scripts;
-  { total = List.length scripts; passed = !passed; failures = List.rev !failures }
+  fst (replay ?fuel ~orig:(List.map (run ?fuel orig) scripts) ~rewritten scripts)
 
 type usage = { cycles : int; insns : int; rss_pages : int }
 
-let measure ?fuel binary scripts =
+let usage runs =
   List.fold_left
-    (fun acc script ->
-      let r = run ?fuel binary script in
+    (fun acc (r : Zvm.Vm.result) ->
       {
-        cycles = acc.cycles + r.Zvm.Vm.cycles;
-        insns = acc.insns + r.Zvm.Vm.insns;
-        rss_pages = max acc.rss_pages r.Zvm.Vm.max_rss_pages;
+        cycles = acc.cycles + r.cycles;
+        insns = acc.insns + r.insns;
+        rss_pages = max acc.rss_pages r.max_rss_pages;
       })
     { cycles = 0; insns = 0; rss_pages = 0 }
-    scripts
+    runs

@@ -2,24 +2,15 @@ module Stats = Zipr_util.Stats
 
 type overheads = { size_pct : float; exec_pct : float; mem_pct : float }
 
-let overheads ~orig ~rewritten pollers =
-  let size_pct =
-    Stats.overhead_pct
-      ~baseline:(float_of_int (Zelf.Binary.file_size orig))
-      ~measured:(float_of_int (Zelf.Binary.file_size rewritten))
+let overheads ~orig ~rewritten ~orig_runs ~rewritten_runs =
+  let pct baseline measured =
+    Stats.overhead_pct ~baseline:(float_of_int baseline) ~measured:(float_of_int measured)
   in
-  let uo = Poller.measure orig pollers in
-  let ur = Poller.measure rewritten pollers in
+  let uo = Poller.usage orig_runs and ur = Poller.usage rewritten_runs in
   {
-    size_pct;
-    exec_pct =
-      Stats.overhead_pct
-        ~baseline:(float_of_int uo.Poller.cycles)
-        ~measured:(float_of_int ur.Poller.cycles);
-    mem_pct =
-      Stats.overhead_pct
-        ~baseline:(float_of_int uo.Poller.rss_pages)
-        ~measured:(float_of_int ur.Poller.rss_pages);
+    size_pct = pct (Zelf.Binary.file_size orig) (Zelf.Binary.file_size rewritten);
+    exec_pct = pct uo.Poller.cycles ur.Poller.cycles;
+    mem_pct = pct uo.Poller.rss_pages ur.Poller.rss_pages;
   }
 
 type eval = {
@@ -29,9 +20,9 @@ type eval = {
   pov_blocked : bool option;
 }
 
-let evaluate ~name ~orig ~rewritten ~meta ~pollers =
-  let ov = overheads ~orig ~rewritten pollers in
-  let check = Poller.functional_check ~orig ~rewritten pollers in
+let evaluate ~name ~orig ~orig_runs ~rewritten ~meta ~pollers =
+  let check, rewritten_runs = Poller.replay ~orig:orig_runs ~rewritten pollers in
+  let ov = overheads ~orig ~rewritten ~orig_runs ~rewritten_runs in
   let functionality =
     if check.Poller.total = 0 then 1.0
     else float_of_int check.Poller.passed /. float_of_int check.Poller.total

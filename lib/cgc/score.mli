@@ -17,24 +17,34 @@
 type overheads = { size_pct : float; exec_pct : float; mem_pct : float }
 
 val overheads :
-  orig:Zelf.Binary.t -> rewritten:Zelf.Binary.t -> Poller.script list -> overheads
+  orig:Zelf.Binary.t ->
+  rewritten:Zelf.Binary.t ->
+  orig_runs:Zvm.Vm.result list ->
+  rewritten_runs:Zvm.Vm.result list ->
+  overheads
 (** File-size from serialization, execution from summed poller cycles,
-    memory from peak poller RSS pages. *)
+    memory from peak poller RSS pages, over one run of each side per
+    poller (see {!Poller.replay}). *)
 
 type eval = {
   name : string;
   ov : overheads;
-  functionality : float;  (** fraction of pollers with matching transcripts *)
+  functionality : float;  (** fraction of pollers the rewrite passes *)
   pov_blocked : bool option;  (** [None] when the CB has no PoV *)
 }
 
 val evaluate :
   name:string ->
   orig:Zelf.Binary.t ->
+  orig_runs:Zvm.Vm.result list ->
   rewritten:Zelf.Binary.t ->
   meta:Cb_gen.meta ->
   pollers:Poller.script list ->
   eval
+(** Run the rewrite once per poller for both its transcript check and
+    its overheads, then every PoV against it.  [orig_runs] are the
+    original's runs, one per poller ({!Poller.run}), so a caller that
+    scores several rewrites of one original runs it once. *)
 
 val availability : eval -> float
 val security : eval -> float

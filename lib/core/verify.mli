@@ -20,7 +20,8 @@
     - chained/expanded references do not point outside the code regions.
 
     Optionally, a transcript check runs the supplied inputs through both
-    binaries (the dynamic complement the paper's evaluation relies on). *)
+    binaries (the dynamic complement the paper's evaluation relies on),
+    judged by the one differential rule below. *)
 
 type issue = { check : string; detail : string }
 
@@ -37,23 +38,49 @@ val structural :
   report
 (** All static checks. *)
 
-type exec = {
-  stop : Zvm.Vm.stop;
-  output : string;
-  syscalls : int list;  (** system-call numbers in execution order *)
-  insns : int;  (** retired instructions *)
-}
-(** An execution profile: everything dynamic equivalence compares. *)
+(** {1 Differential execution}
 
-val execute : ?fuel:int -> Zelf.Binary.t -> input:string -> exec
-(** Boot the binary on [input] and record its observable behaviour,
-    including the ordered system-call trace (the differential-execution
-    building block; the fuzz harness layers on this). *)
+    The one rule that decides whether a rewrite behaves like its
+    original on an input.  Both runs come from {!Zelf.Image.boot} (the
+    pollers' [Cgc.Poller.run] is that runner at a fixed budget), and
+    every differential in the system (the transcript check below, the
+    pollers' functional check, the fuzz driver) asks this rule:
+
+    - exit status and output bytes must be equal;
+    - faults compare by {e kind}, not by address: a rewrite moves code,
+      so pc values (and, under stack diversity, stack addresses) differ
+      even between equivalent executions;
+    - the ordered system-call traces must be equal;
+    - the rewrite runs with {!rewrite_fuel} of the original's budget,
+      since reference jumps, sleds and chained hops legitimately retire
+      extra instructions;
+    - an original that exhausts its budget has no behaviour to compare:
+      the verdict is {!Undecided}, never a divergence. *)
+
+type verdict =
+  | Equivalent
+  | Undecided  (** the original exhausted its budget; nothing to compare *)
+  | Diverged of string  (** human-readable mismatch description *)
+
+val rewrite_fuel : int -> int
+(** [rewrite_fuel fuel] is [2 * fuel + 4096]: the rewrite's instruction
+    budget against an original run with [fuel]. *)
+
+val compare_runs : orig:Zvm.Vm.result -> rewritten:Zvm.Vm.result -> verdict
+(** The rule, applied to one run of each side on the same input.  The
+    caller gives the rewrite's run {!rewrite_fuel} of the original's
+    budget. *)
+
+val compare_on :
+  ?fuel:int -> orig:Zelf.Binary.t -> rewritten:Zelf.Binary.t -> string -> verdict
+(** Boot the original on the input with [fuel] (default 2 million) and,
+    unless it exhausts that, the rewrite with [rewrite_fuel fuel]; then
+    {!compare_runs}. *)
 
 val transcripts :
   ?fuel:int -> orig:Zelf.Binary.t -> rewritten:Zelf.Binary.t -> string list -> report
-(** Dynamic equivalence over the given inputs: output bytes, stop status
-    and the ordered system-call trace must all agree. *)
+(** One "transcript" check per input: an issue for each input on which
+    {!compare_on} reports a divergence. *)
 
 val full :
   ?fuel:int ->

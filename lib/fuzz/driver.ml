@@ -108,7 +108,7 @@ let random_cfg rng =
   in
   {
     transforms = stack;
-    placement = Rng.choose rng [| "naive"; "optimized"; "random" |];
+    placement = Rng.choose_list rng Zipr.Placement.names;
     layout_seed = s ();
   }
 
@@ -228,9 +228,9 @@ let check_case ~ir_cache opts counters spec cfg =
       List.find_map
         (fun input ->
           counters.inputs <- counters.inputs + 1;
-          match Diff.compare_on ~fuel:opts.max_steps ~orig ~rewritten input with
-          | Diff.Diverged reason -> Some (input, reason)
-          | Diff.Equivalent | Diff.Undecided -> None)
+          match Zipr.Verify.compare_on ~fuel:opts.max_steps ~orig ~rewritten input with
+          | Zipr.Verify.Diverged reason -> Some (input, reason)
+          | Zipr.Verify.Equivalent | Zipr.Verify.Undecided -> None)
         inputs
 
 (* Does this exact (spec, cfg, input) still fail?  Used by the shrinker. *)
@@ -239,18 +239,18 @@ let still_fails ~ir_cache opts counters (spec, cfg, input) =
   | Error _ -> true
   | Ok (orig, rewritten, _) -> (
       counters.inputs <- counters.inputs + 1;
-      match Diff.compare_on ~fuel:opts.max_steps ~orig ~rewritten input with
-      | Diff.Diverged _ -> true
-      | Diff.Equivalent | Diff.Undecided -> false)
+      match Zipr.Verify.compare_on ~fuel:opts.max_steps ~orig ~rewritten input with
+      | Zipr.Verify.Diverged _ -> true
+      | Zipr.Verify.Equivalent | Zipr.Verify.Undecided -> false)
 
 let failure_reason ~ir_cache opts counters (spec, cfg, input) =
   match rewrite_spec ~ir_cache opts counters spec cfg with
   | Error reason -> reason
   | Ok (orig, rewritten, _) -> (
-      match Diff.compare_on ~fuel:opts.max_steps ~orig ~rewritten input with
-      | Diff.Diverged reason -> reason
-      | Diff.Equivalent -> "no longer diverges (unstable shrink)"
-      | Diff.Undecided -> "original exhausted its budget")
+      match Zipr.Verify.compare_on ~fuel:opts.max_steps ~orig ~rewritten input with
+      | Zipr.Verify.Diverged reason -> reason
+      | Zipr.Verify.Equivalent -> "no longer diverges (unstable shrink)"
+      | Zipr.Verify.Undecided -> "original exhausted its budget")
 
 let shrink_candidates (spec, cfg, input) =
   let specs = List.map (fun s -> (s, cfg, input)) (Gen.shrink spec) in

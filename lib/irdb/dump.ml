@@ -30,105 +30,6 @@ let to_string db =
 
 let pp ppf db = Format.pp_print_string ppf (to_string db)
 
-(* -- machine-readable persistence -- *)
-
-let opt_int = function Some v -> string_of_int v | None -> "-"
-
-let serialize db =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "ZIRDB1\n";
-  Buffer.add_string buf (Printf.sprintf "E %d\n" (Db.entry db));
-  List.iter
-    (fun id ->
-      let r = Db.row db id in
-      Buffer.add_string buf
-        (Printf.sprintf "R %d %s %s %s %s %s %d %s\n" r.Db.id
-           (Zipr_util.Hex.of_bytes (Zvm.Encode.to_bytes r.Db.insn))
-           (opt_int r.Db.fallthrough) (opt_int r.Db.target) (opt_int r.Db.pinned)
-           (opt_int r.Db.orig_addr)
-           (if r.Db.fixed then 1 else 0)
-           (opt_int r.Db.func)))
-    (Db.ids db);
-  List.iter
-    (fun (f : Db.func) ->
-      Buffer.add_string buf (Printf.sprintf "F %d %s %d\n" f.Db.fid f.Db.fname f.Db.entry))
-    (Db.funcs db);
-  List.iter
-    (fun (addr, _) ->
-      if Db.pin_is_marked db addr then Buffer.add_string buf (Printf.sprintf "M %d\n" addr))
-    (Db.pinned_addresses db);
-  Buffer.contents buf
-
-exception Parse of string
-
-let deserialize ~orig text =
-  let db = Db.create ~orig () in
-  let id_map : (int, Db.insn_id) Hashtbl.t = Hashtbl.create 256 in
-  (* Deferred work that needs the complete id map. *)
-  let links = ref [] in
-  let funcs = ref [] in
-  let marks = ref [] in
-  let entry = ref None in
-  let parse_opt s = if s = "-" then None else Some (int_of_string s) in
-  try
-    List.iteri
-      (fun lineno line ->
-        let fail msg = raise (Parse (Printf.sprintf "line %d: %s" (lineno + 1) msg)) in
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "" ] | [] -> ()
-        | [ "ZIRDB1" ] -> ()
-        | [ "E"; e ] -> entry := Some (int_of_string e)
-        | [ "R"; id; hex; ft; tgt; pin; orig_addr; fixed; func ] -> (
-            let bytes = Zipr_util.Hex.to_bytes hex in
-            match Zvm.Decode.decode_bytes bytes ~pos:0 with
-            | Error e -> fail (Printf.sprintf "bad instruction: %s" (Zvm.Decode.error_to_string e))
-            | Ok (insn, len) ->
-                if len <> Bytes.length bytes then fail "trailing bytes in instruction";
-                let new_id = Db.add_insn ?orig_addr:(parse_opt orig_addr) db insn in
-                Hashtbl.replace id_map (int_of_string id) new_id;
-                links := (new_id, parse_opt ft, parse_opt tgt, parse_opt pin) :: !links;
-                if fixed = "1" then (Db.row db new_id).Db.fixed <- true;
-                match parse_opt func with
-                | Some f -> funcs := (`Member (new_id, f)) :: !funcs
-                | None -> ())
-        | "F" :: fid :: fname :: [ fentry ] ->
-            funcs := `Func (int_of_string fid, fname, int_of_string fentry) :: !funcs
-        | [ "M"; addr ] -> marks := int_of_string addr :: !marks
-        | _ -> fail "unrecognized record")
-      (String.split_on_char '\n' text);
-    let resolve old =
-      match Hashtbl.find_opt id_map old with
-      | Some id -> id
-      | None -> raise (Parse (Printf.sprintf "dangling row id %d" old))
-    in
-    List.iter
-      (fun (id, ft, tgt, pin) ->
-        Db.set_fallthrough db id (Option.map resolve ft);
-        Db.set_target db id (Option.map resolve tgt);
-        match pin with Some addr -> Db.pin db id addr | None -> ())
-      !links;
-    (* Functions: declare in ascending fid order so ids are stable, then
-       stamp members. *)
-    let decls =
-      List.filter_map (function `Func (fid, name, e) -> Some (fid, name, e) | _ -> None) !funcs
-      |> List.sort compare
-    in
-    List.iter
-      (fun (expected_fid, name, fentry) ->
-        let fid = Db.add_func db ~fname:name ~entry:(resolve fentry) in
-        if fid <> expected_fid then raise (Parse "function ids not dense"))
-      decls;
-    List.iter
-      (function `Member (id, fid) -> Db.set_func db id fid | `Func _ -> ())
-      !funcs;
-    List.iter (Db.mark_pin db) !marks;
-    (match !entry with Some e -> Db.set_entry db (resolve e) | None -> ());
-    Ok db
-  with
-  | Parse msg -> Error msg
-  | Failure msg -> Error msg
-  | Invalid_argument msg -> Error msg
-
 (* -- binary row records: the IR snapshot's rows -- *)
 
 module Bytebuf = Zipr_util.Bytebuf

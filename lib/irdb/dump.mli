@@ -13,23 +13,7 @@ val pp : Format.formatter -> Db.t -> unit
 
 val row_to_string : Db.row -> string
 
-(** {1 Machine-readable persistence}
-
-    The paper's IRDB is a database precisely so pipeline phases can run
-    as separate processes; [serialize]/[deserialize] provide that
-    capability here.  The format is line-based: one [R] record per row
-    (instruction bytes hex-encoded, so the roundtrip is exact), plus
-    entry/function/pin/mark records. *)
-
-val serialize : Db.t -> string
-
-val deserialize : orig:Zelf.Binary.t -> string -> (Db.t, string) result
-(** Rebuild an IRDB over the original binary it was constructed from.
-    Row ids are preserved.  Transform-added sections and relocations are
-    {e not} persisted (persist before transformation, as the pipeline
-    does between its phases). *)
-
-(** {2 Binary row records}
+(** {1 Binary row records}
 
     The rows of a binary IR snapshot ([Ir_construction.snapshot], version
     [ZIRIR3]); the rest of that payload belongs to [Ir_construction],

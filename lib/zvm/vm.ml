@@ -12,6 +12,7 @@ type stop = Halted | Exited of int | Fault of fault
 type result = {
   stop : stop;
   output : string;
+  syscalls : int list;
   insns : int;
   cycles : int;
   max_rss_pages : int;
@@ -27,6 +28,7 @@ type t = {
   input : string;
   mutable input_pos : int;
   output : Buffer.t;
+  mutable syscalls : int list;  (* newest first *)
   rng : Rng.t;
   mutable alloc_cursor : int;
   mutable insns : int;
@@ -53,6 +55,7 @@ let create ?(stack_top = 0xbfff_f000) ?(stack_pages = 64) ?(alloc_base = 0x6000_
     input;
     input_pos = 0;
     output = Buffer.create 256;
+    syscalls = [];
     rng = Rng.create random_seed;
     alloc_cursor = alloc_base;
     insns = 0;
@@ -107,6 +110,7 @@ let pop t =
 
 let do_syscall t n =
   t.cycles <- t.cycles + 30;
+  t.syscalls <- n :: t.syscalls;
   match Syscall.of_number n with
   | None -> fault t (Bad_syscall { pc = t.pc; number = n })
   | Some Syscall.Terminate -> raise (Stop (Exited (reg t Reg.R0)))
@@ -284,6 +288,7 @@ let run ?(fuel = 20_000_000) ?on_step t =
   ({
      stop;
      output = Buffer.contents t.output;
+     syscalls = List.rev t.syscalls;
      insns = t.insns;
      cycles = t.cycles;
      max_rss_pages = Memory.touched_pages t.memory;

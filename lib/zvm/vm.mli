@@ -33,6 +33,9 @@ type t
 type result = {
   stop : stop;
   output : string;  (** everything the program transmitted *)
+  syscalls : int list;
+      (** every system-call number the program issued, in order, including
+          a bad one it faulted on *)
   insns : int;  (** retired instructions *)
   cycles : int;  (** weighted cycles (execution-time proxy) *)
   max_rss_pages : int;  (** peak touched 4-KiB pages *)

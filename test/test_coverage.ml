@@ -109,7 +109,9 @@ let test_reads_pc_classification () =
 
 let test_score_no_pollers () =
   let binary, meta = Cgc.Cb_gen.generate ~seed:9 Cgc.Cb_gen.default_profile in
-  let e = Cgc.Score.evaluate ~name:"x" ~orig:binary ~rewritten:binary ~meta ~pollers:[] in
+  let e =
+    Cgc.Score.evaluate ~name:"x" ~orig:binary ~orig_runs:[] ~rewritten:binary ~meta ~pollers:[]
+  in
   Alcotest.(check (float 1e-9)) "functionality defaults" 1.0 e.Cgc.Score.functionality
 
 let suite =

@@ -1,49 +1,22 @@
-(* Tests for the tooling layer: execution tracing, post-rewrite
-   verification, and IRDB persistence. *)
+(* Tests for the tooling layer: post-rewrite verification and the one
+   differential rule that decides whether a rewrite diverged. *)
 
-module Db = Irdb.Db
-module Insn = Zvm.Insn
-module Reg = Zvm.Reg
+let asm src =
+  match Zasm.Parser.assemble_string src with
+  | Ok (binary, _) -> binary
+  | Error e -> Alcotest.failf "assemble: %s" e
 
-(* -- Trace -- *)
+(* -- The system-call trace every run records -- *)
 
-let test_trace_records_steps () =
+let test_vm_records_syscalls () =
   let binary, _ = Testprogs.assemble (Testprogs.fib_program ()) in
-  let vm = Zelf.Image.vm_of binary ~input:"\x05" in
-  let result, trace = Zvm.Trace.run vm in
-  Alcotest.(check bool) "completed" true (result.Zvm.Vm.stop = Zvm.Vm.Exited 0);
-  Alcotest.(check int) "trace length = retired" result.Zvm.Vm.insns (Zvm.Trace.length trace);
-  let steps = Zvm.Trace.steps trace in
-  Alcotest.(check bool) "starts at entry" true
-    (match steps with (pc, _) :: _ -> pc = binary.Zelf.Binary.entry | [] -> false)
-
-let test_trace_ring_bounded () =
-  let binary, _ = Testprogs.assemble (Testprogs.fib_program ()) in
-  let vm = Zelf.Image.vm_of binary ~input:"\x0b" in
-  let result, trace = Zvm.Trace.run ~capacity:16 vm in
-  Alcotest.(check bool) "observed more than kept" true (Zvm.Trace.length trace > 16);
-  Alcotest.(check int) "kept capacity" 16 (List.length (Zvm.Trace.steps trace));
-  ignore result
-
-let test_trace_branch_targets () =
-  let binary, _ = Testprogs.assemble (Testprogs.fib_program ()) in
-  let vm = Zelf.Image.vm_of binary ~input:"\x03" in
-  let _, trace = Zvm.Trace.run vm in
-  (* fib(3): the loop runs 3 times -> at least 3 non-sequential arrivals. *)
-  Alcotest.(check bool) "taken branches seen" true (List.length (Zvm.Trace.branch_targets trace) >= 3)
-
-let test_trace_divergence_same_and_different () =
-  let binary, _ = Testprogs.assemble (Testprogs.fib_program ()) in
-  let run input =
-    let vm = Zelf.Image.vm_of binary ~input in
-    snd (Zvm.Trace.run vm)
-  in
-  let a = run "\x05" and b = run "\x05" in
-  Alcotest.(check bool) "identical runs agree" true (Zvm.Trace.divergence a b = None);
-  let c = run "\x06" in
-  (* Different loop counts diverge somewhere (one trace extends the other
-     or an instruction differs). *)
-  Alcotest.(check bool) "different inputs diverge" true (Zvm.Trace.divergence a c <> None)
+  let r = Zelf.Image.boot binary ~input:"\x05" in
+  Alcotest.(check bool) "completed" true (r.Zvm.Vm.stop = Zvm.Vm.Exited 0);
+  (* receive, transmit, terminate *)
+  Alcotest.(check (list int)) "ordered numbers" [ 2; 1; 0 ] r.Zvm.Vm.syscalls;
+  let bad = asm "main:\n    sys 2\n    sys 99\n" in
+  Alcotest.(check (list int)) "a bad number is recorded" [ 2; 99 ]
+    (Zelf.Image.boot bad ~input:"").Zvm.Vm.syscalls
 
 (* -- Verify -- *)
 
@@ -95,74 +68,103 @@ let test_verify_catches_transcript_divergence () =
   let report = Zipr.Verify.transcripts ~orig:binary ~rewritten:other [ "\x05" ] in
   Alcotest.(check bool) "divergence flagged" false (Zipr.Verify.ok report)
 
-(* -- IRDB persistence -- *)
+(* -- The differential rule (Zipr.Verify.compare_on) -- *)
 
-let test_irdb_roundtrip () =
-  let binary, _ = Testprogs.assemble (Testprogs.dispatch_program ()) in
-  let ir = Zipr.Ir_construction.build binary in
-  let db = ir.Zipr.Ir_construction.db in
-  let text = Irdb.Dump.serialize db in
-  match Irdb.Dump.deserialize ~orig:binary text with
-  | Error msg -> Alcotest.failf "deserialize failed: %s" msg
-  | Ok db' ->
-      Alcotest.(check int) "row count" (Db.count db) (Db.count db');
-      Alcotest.(check int) "entry" (Db.entry db) (Db.entry db');
-      Alcotest.(check int) "functions" (List.length (Db.funcs db)) (List.length (Db.funcs db'));
-      Alcotest.(check (list (pair int int))) "pins" (Db.pinned_addresses db)
-        (Db.pinned_addresses db');
-      (* Marked pins survive. *)
-      List.iter
-        (fun (addr, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "mark at 0x%x" addr)
-            (Db.pin_is_marked db addr) (Db.pin_is_marked db' addr))
-        (Db.pinned_addresses db);
-      (* Spot-check instructions and links row by row. *)
-      List.iter
-        (fun id ->
-          let a = Db.row db id and b = Db.row db' id in
-          Alcotest.(check bool) "insn" true (Zvm.Insn.equal a.Db.insn b.Db.insn);
-          Alcotest.(check (option int)) "ft" a.Db.fallthrough b.Db.fallthrough;
-          Alcotest.(check (option int)) "tgt" a.Db.target b.Db.target;
-          Alcotest.(check bool) "fixed" a.Db.fixed b.Db.fixed)
-        (Db.ids db)
+(* Transmits [out] and exits with [status]; [pre] runs first. *)
+let program ?(pre = "") ?(out = "a") ?(status = 0) () =
+  asm
+    (Printf.sprintf
+       {|.section rodata 0x200000
+msg:
+    .asciiz "%s"
+.section text 0x10000
+main:
+%s
+    movi r0, 1
+    movi r1, msg
+    movi r2, 1
+    sys 1
+    movi r0, %d
+    sys 0
+|}
+       out pre status)
 
-let test_irdb_roundtrip_then_rewrite () =
-  (* The real point of persistence: reassembling from a restored IRDB
-     must produce a working binary. *)
-  let binary, _ = Testprogs.assemble (Testprogs.dispatch_program ()) in
-  let ir = Zipr.Ir_construction.build binary in
-  let text = Irdb.Dump.serialize ir.Zipr.Ir_construction.db in
-  match Irdb.Dump.deserialize ~orig:binary text with
-  | Error msg -> Alcotest.failf "deserialize failed: %s" msg
-  | Ok db' ->
-      let ir' = { ir with Zipr.Ir_construction.db = db' } in
-      let rewritten, _stats = Zipr.Reassemble.run ir' in
-      let input = "012f0f1q" in
-      let a = Zelf.Image.boot binary ~input in
-      let b = Zelf.Image.boot rewritten ~input in
-      Alcotest.(check string) "same output" a.Zvm.Vm.output b.Zvm.Vm.output
+let verdict =
+  Alcotest.testable
+    (fun ppf v ->
+      Format.pp_print_string ppf
+        (match v with
+        | Zipr.Verify.Equivalent -> "equivalent"
+        | Zipr.Verify.Undecided -> "undecided"
+        | Zipr.Verify.Diverged why -> "diverged: " ^ why))
+    ( = )
 
-let test_irdb_deserialize_rejects_garbage () =
-  let binary, _ = Testprogs.assemble (Testprogs.fib_program ()) in
-  (match Irdb.Dump.deserialize ~orig:binary "R 0 zz - - - - 0 -" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad hex accepted");
-  match Irdb.Dump.deserialize ~orig:binary "R 0 90 7 - - - 0 -" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "dangling link accepted"
+let judge ?fuel orig rewritten = Zipr.Verify.compare_on ?fuel ~orig ~rewritten ""
+
+let test_rule_equal_exits () =
+  Alcotest.check verdict "moved code, same behaviour" Zipr.Verify.Equivalent
+    (judge (program ()) (program ~pre:"    nop\n    nop" ()))
+
+let test_rule_exit_status () =
+  Alcotest.check verdict "status" (Zipr.Verify.Diverged "stop: exit 0 vs exit 1")
+    (judge (program ()) (program ~status:1 ()))
+
+let test_rule_output_byte () =
+  Alcotest.check verdict "output" (Zipr.Verify.Diverged {|output: "a" vs "b"|})
+    (judge (program ()) (program ~out:"b" ()))
+
+let mem_fault = "    movi r1, 16\n    load r0, [r1]"
+
+let test_rule_fault_same_kind () =
+  let a = program ~pre:mem_fault () and b = program ~pre:("    nop\n" ^ mem_fault) () in
+  let stop p = (Zelf.Image.boot p ~input:"").Zvm.Vm.stop in
+  Alcotest.(check bool) "the fault pcs differ" false (Zvm.Vm.equal_stop (stop a) (stop b));
+  Alcotest.check verdict "same kind" Zipr.Verify.Equivalent (judge a b)
+
+let test_rule_fault_kinds () =
+  Alcotest.check verdict "mem vs div" (Zipr.Verify.Diverged "stop: mem-fault vs div-fault")
+    (judge (program ~pre:mem_fault ()) (program ~pre:"    movi r1, 0\n    div r0, r1" ()))
+
+let test_rule_syscalls () =
+  (* fdwait returns 0 and changes neither output nor status. *)
+  Alcotest.check verdict "extra fdwait" (Zipr.Verify.Diverged "syscall trace: [1;0] vs [6;1;0]")
+    (judge (program ()) (program ~pre:"    sys 6" ()))
+
+(* Twenty turns of a loop whose body is [pad] extra no-ops longer. *)
+let loop pad =
+  program
+    ~pre:
+      (Printf.sprintf "    movi r3, 20\nloop:\n%s    subi r3, 1\n    cmpi r3, 0\n    jne loop"
+         (String.concat "" (List.init pad (fun _ -> "    nop\n"))))
+    ()
+
+let test_rule_rewrite_budget () =
+  let fuel = 100 in
+  let retired p = (Zelf.Image.boot p ~input:"").Zvm.Vm.insns in
+  Alcotest.(check bool) "the original fits its budget" true (retired (loop 0) < fuel);
+  Alcotest.(check bool) "the rewrite retires more than it" true (retired (loop 3) > fuel);
+  Alcotest.check verdict "within 2*fuel+4096" Zipr.Verify.Equivalent
+    (judge ~fuel (loop 0) (loop 3));
+  Alcotest.check verdict "past 2*fuel+4096" (Zipr.Verify.Diverged "stop: exit 0 vs hang")
+    (judge ~fuel (loop 0) (program ~pre:"spin:\n    jmp spin" ()))
+
+let test_rule_undecided () =
+  Alcotest.check verdict "original hangs" Zipr.Verify.Undecided
+    (judge ~fuel:1000 (program ~pre:"spin:\n    jmp spin" ()) (program ()))
 
 let suite =
   [
-    Alcotest.test_case "trace records" `Quick test_trace_records_steps;
-    Alcotest.test_case "trace ring bounded" `Quick test_trace_ring_bounded;
-    Alcotest.test_case "trace branch targets" `Quick test_trace_branch_targets;
-    Alcotest.test_case "trace divergence" `Quick test_trace_divergence_same_and_different;
+    Alcotest.test_case "vm records syscalls" `Quick test_vm_records_syscalls;
     Alcotest.test_case "verify good rewrite" `Quick test_verify_accepts_good_rewrite;
     Alcotest.test_case "verify cfi rewrite" `Quick test_verify_accepts_cfi_rewrite;
     Alcotest.test_case "verify catches corruption" `Quick test_verify_catches_corruption;
     Alcotest.test_case "verify catches divergence" `Quick test_verify_catches_transcript_divergence;
-    Alcotest.test_case "irdb roundtrip" `Quick test_irdb_roundtrip;
-    Alcotest.test_case "irdb restore+rewrite" `Quick test_irdb_roundtrip_then_rewrite;
-    Alcotest.test_case "irdb rejects garbage" `Quick test_irdb_deserialize_rejects_garbage;
+    Alcotest.test_case "rule: equal exits pass" `Quick test_rule_equal_exits;
+    Alcotest.test_case "rule: exit status diverges" `Quick test_rule_exit_status;
+    Alcotest.test_case "rule: output byte diverges" `Quick test_rule_output_byte;
+    Alcotest.test_case "rule: faults compare by kind" `Quick test_rule_fault_same_kind;
+    Alcotest.test_case "rule: fault kinds diverge" `Quick test_rule_fault_kinds;
+    Alcotest.test_case "rule: syscall trace diverges" `Quick test_rule_syscalls;
+    Alcotest.test_case "rule: rewrite budget" `Quick test_rule_rewrite_budget;
+    Alcotest.test_case "rule: original hang undecided" `Quick test_rule_undecided;
   ]
