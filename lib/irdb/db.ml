@@ -97,6 +97,8 @@ let pinned_addresses t =
 
 let count t = t.live
 
+let id_bound t = t.next_id
+
 let iter t f =
   for id = 0 to t.next_id - 1 do
     match t.rows.(id) with Some r -> f r | None -> ()

@@ -75,6 +75,11 @@ val pinned_addresses : t -> (int * insn_id) list
 val count : t -> int
 (** Live instruction rows. *)
 
+val id_bound : t -> int
+(** One past the largest row id ever allocated.  Ids are allocated
+    densely from 0, so every id, live or spliced out, indexes an array
+    of this length. *)
+
 val iter : t -> (row -> unit) -> unit
 (** Iterate rows in unspecified order. *)
 

@@ -93,15 +93,62 @@ let check_queries seed step rng set ivs =
     (Iset.best_fit_near set ~center ~size);
   Alcotest.(check (option (pair int int)))
     (Printf.sprintf "seed %d step %d largest" seed step)
-    (naive_largest ivs) (Iset.largest set)
+    (naive_largest ivs) (Iset.largest set);
+  (* [find_map ~min_width] calls its function on exactly the members at
+     least that wide, in order, up to the first match: pruning skips no
+     wide member and never shows a narrow one. *)
+  let min_width = Rng.int_in rng 1 32 and parity = Rng.int rng 2 in
+  let pick lo hi = if (lo + hi) land 1 = parity then Some lo else None in
+  let seen = ref [] in
+  let got =
+    Iset.find_map ~min_width
+      (fun lo hi ->
+        seen := (lo, hi) :: !seen;
+        pick lo hi)
+      set
+  in
+  let wide = List.filter (fun (lo, hi) -> hi - lo >= min_width) ivs in
+  chk "find_map ~min_width" (List.find_map (fun (lo, hi) -> pick lo hi) wide) got;
+  let rec upto_match = function
+    | [] -> []
+    | ((lo, hi) as m) :: rest -> if pick lo hi <> None then [ m ] else m :: upto_match rest
+  in
+  Alcotest.(check (list (pair int int)))
+    (Printf.sprintf "seed %d step %d find_map ~min_width visits" seed step)
+    (upto_match wide) (List.rev !seen)
+
+(* A range inside one member of [set], when it has one: the whole
+   member, a piece from its start, a piece to its end, or a piece
+   strictly inside it.  These are the shapes [Iset.remove] carves in
+   place. *)
+let inside_member_range rng set =
+  match Iset.intervals set with
+  | [] -> None
+  | ivs ->
+      let mlo, mhi = List.nth ivs (Rng.int rng (List.length ivs)) in
+      let w = mhi - mlo in
+      Some
+        (match Rng.int rng 4 with
+        | 1 -> (mlo, mlo + 1 + Rng.int rng w)
+        | 2 -> (mhi - 1 - Rng.int rng w, mhi)
+        | 3 when w >= 3 ->
+            let lo = mlo + 1 + Rng.int rng (w - 2) in
+            (lo, lo + 1 + Rng.int rng (mhi - 1 - lo))
+        | _ -> (mlo, mhi))
 
 let run_interval_set_ops seed ops =
   let rng = Rng.create seed in
   let model = Array.make universe false in
   let set = ref Iset.empty in
   for step = 1 to ops do
-    let lo, hi = random_range rng in
-    if Rng.bool rng then begin
+    let adding = Rng.bool rng in
+    (* Half the removes lie inside one member. *)
+    let lo, hi =
+      match if adding || Rng.bool rng then None else inside_member_range rng !set with
+      | Some r -> r
+      | None -> random_range rng
+    in
+    if adding then begin
       set := Iset.add !set ~lo ~hi;
       for i = lo to hi - 1 do
         model.(i) <- true
